@@ -41,10 +41,14 @@ int main(int argc, char** argv) {
         "fat-tree ==\n"
         "Synthetic n=%zu, k/n=0.1%%; racks of 8, oversub 4.0, 2 ECMP "
         "cores. 'wall' is measured wall-clock for the whole run "
-        "(warmup+measured), i.e. the execution backend's cost.\n\n",
+        "(warmup+measured), i.e. the execution backend's cost; 'wake "
+        "evals/msg' is the fiber scheduler's wait-predicate evaluations "
+        "per delivered message ('-' on threads), which must stay flat "
+        "as P grows.\n\n",
         synth.num_params);
     TablePrinter large_table(
-        {"P", "method", "comm s/update", "msgs/update", "wall"});
+        {"P", "method", "comm s/update", "msgs/update", "wall",
+         "wake evals/msg"});
     for (int p : large_counts) {
       for (const std::string& algo : {std::string("gtopk"),
                                       std::string("spardl")}) {
@@ -68,7 +72,10 @@ int main(int argc, char** argv) {
         large_table.AddRow({StrFormat("%d", p), r.algo_label,
                             StrFormat("%.4f", r.comm_seconds),
                             StrFormat("%.0f", r.messages_per_update),
-                            StrFormat("%.1fs", wall)});
+                            StrFormat("%.1fs", wall),
+                            r.wake_evals_per_message > 0.0
+                                ? StrFormat("%.2f", r.wake_evals_per_message)
+                                : std::string("-")});
       }
     }
     std::printf("%s\n", large_table.ToString().c_str());

@@ -468,6 +468,12 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   result.comm_seconds = comm_seconds / iters;
   result.words_per_update = static_cast<double>(words) / iters;
   result.messages_per_update = static_cast<double>(messages) / iters;
+  const uint64_t delivered = cluster.TotalStats().messages_received;
+  if (delivered > 0) {
+    result.wake_evals_per_message =
+        static_cast<double>(cluster.scheduler_stats().predicate_evals) /
+        static_cast<double>(delivered);
+  }
   ObserveRun(cluster, result.algo_label);
   return result;
 }

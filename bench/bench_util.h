@@ -148,6 +148,10 @@ struct PerUpdateResult {
   /// Per-worker received words / messages per update (max over workers).
   double words_per_update = 0.0;
   double messages_per_update = 0.0;
+  /// Simulator cost, not simulated time: fiber-scheduler predicate
+  /// evaluations per delivered message over the measured iterations (0
+  /// on the thread backend).
+  double wake_evals_per_message = 0.0;
 
   double total_seconds() const { return comm_seconds + compute_seconds; }
 };

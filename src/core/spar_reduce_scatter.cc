@@ -73,8 +73,8 @@ class SrsEngine {
       std::vector<SparseVector> incoming =
           comm_.RecvAs<std::vector<SparseVector>>(
               group_.GlobalRank(src_pos));
-      const SrsBagLayout src_layout(group_.size(), src_pos);
-      const std::vector<int>& incoming_blocks = src_layout.Bag(bag);
+      const SrsBag incoming_blocks =
+          SrsBagLayout::BagOf(group_.size(), src_pos, bag);
       SPARDL_CHECK_EQ(incoming.size(), incoming_blocks.size());
       for (size_t i = 0; i < incoming.size(); ++i) {
         const int b = incoming_blocks[i];

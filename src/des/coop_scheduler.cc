@@ -1,5 +1,6 @@
 #include "des/coop_scheduler.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "common/logging.h"
@@ -26,24 +27,27 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
       << "nested CoopScheduler::Run";
   SPARDL_CHECK_GE(num_workers, 1);
   engine_ = engine;
+  stats_ = SchedulerStats{};
   slots_.clear();
   slots_.resize(static_cast<size_t>(num_workers));
+  ready_.clear();
+  notified_.clear();
+  notify_all_ = false;
   const size_t stack_bytes = FiberStackBytes();
   for (int rank = 0; rank < num_workers; ++rank) {
     slots_[static_cast<size_t>(rank)].fiber = std::make_unique<Fiber>(
         [rank, &body] { body(rank); }, stack_bytes);
+    ready_.push_back(rank);
   }
   g_current_scheduler = this;
   int done = 0;
   while (done < num_workers) {
-    // Run every runnable worker once, in rank order. A worker returns
+    // Run every ready worker once, in rank order. A worker returns
     // control only by blocking (state -> kWaiting) or finishing.
-    bool progressed = false;
-    for (int rank = 0; rank < num_workers; ++rank) {
+    for (const int rank : ready_) {
       WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
-      if (slot.state != State::kRunnable) continue;
-      progressed = true;
       current_ = rank;
+      ++stats_.resumes;
       slot.fiber->Resume();
       current_ = -1;
       if (slot.fiber->finished()) {
@@ -51,11 +55,11 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
         ++done;
       }
     }
+    ready_.clear();
     if (done >= num_workers) break;
-    if (WakeReadyWaiters()) continue;
-    if (progressed) continue;  // fresh blocks may have changed state
+    if (WakeNotifiedWaiters()) continue;
     if (engine_ != nullptr && PumpEngine()) continue;
-    DiagnoseDeadlock();
+    DiagnoseStall();
   }
   g_current_scheduler = nullptr;
   engine_ = nullptr;
@@ -67,7 +71,9 @@ void CoopScheduler::Wait(const std::function<bool()>& pred,
   SPARDL_CHECK(g_current_scheduler == this && current_ >= 0)
       << "CoopScheduler::Wait outside a worker fiber";
   WorkerSlot& slot = slots_[static_cast<size_t>(current_)];
-  while (!pred()) {
+  for (;;) {
+    ++stats_.predicate_evals;
+    if (pred()) break;
     slot.state = State::kWaiting;
     slot.pred = &pred;
     slot.describe = &describe;
@@ -80,35 +86,67 @@ void CoopScheduler::Wait(const std::function<bool()>& pred,
   slot.state = State::kRunnable;
 }
 
-bool CoopScheduler::WakeReadyWaiters() {
+void CoopScheduler::Notify(int rank) {
+  WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
+  // A worker that is not waiting checks its predicate on its next Wait.
+  if (slot.state != State::kWaiting || slot.notified) return;
+  slot.notified = true;
+  notified_.push_back(rank);
+}
+
+void CoopScheduler::TryWake(int rank) {
+  WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
+  slot.notified = false;
+  if (slot.state != State::kWaiting) return;
+  ++stats_.predicate_evals;
+  if (!(*slot.pred)()) return;
+  slot.state = State::kRunnable;
+  ready_.push_back(rank);
+  ++stats_.wakeups;
+}
+
+bool CoopScheduler::WakeNotifiedWaiters() {
   // Predicates are evaluated lock-free: every fiber shares this OS
   // thread, so nothing mutates predicate state concurrently.
-  bool woke = false;
-  for (WorkerSlot& slot : slots_) {
-    if (slot.state != State::kWaiting) continue;
-    if ((*slot.pred)()) {
-      slot.state = State::kRunnable;
-      woke = true;
+  if (notify_all_) {
+    notify_all_ = false;
+    for (int rank = 0; rank < static_cast<int>(slots_.size()); ++rank) {
+      TryWake(rank);
     }
+  } else {
+    std::sort(notified_.begin(), notified_.end());
+    for (const int rank : notified_) TryWake(rank);
   }
-  return woke;
+  notified_.clear();
+  return !ready_.empty();
 }
 
 bool CoopScheduler::PumpEngine() {
   // Every worker is blocked, so this is exactly the engine's quiescent
   // cut — the same point the thread backend pumps at, hence the same
   // deterministic (time, key) event order. Pumping pauses as soon as a
-  // resolution makes some waiter runnable: that worker may inject new,
-  // earlier-keyed flows that must precede later queue entries.
+  // resolution makes its receiver runnable: that worker may inject new,
+  // earlier-keyed flows that must precede later queue entries. A
+  // resolution can only change its receiver's predicate, so it is the
+  // one worker to re-check.
   std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
   while (!engine_->QueueEmptyLocked()) {
+    ++stats_.engine_pumps;
     const uint64_t resolved = engine_->PumpOneLocked();
-    if (resolved != 0 && WakeReadyWaiters()) return true;
+    if (resolved == 0) continue;
+    Notify(engine_->FlowDst(resolved));
+    if (WakeNotifiedWaiters()) return true;
   }
   return false;
 }
 
-void CoopScheduler::DiagnoseDeadlock() {
+void CoopScheduler::DiagnoseStall() {
+  // Only reached at a stall, so the full scan costs healthy runs nothing.
+  for (size_t rank = 0; rank < slots_.size(); ++rank) {
+    const WorkerSlot& slot = slots_[rank];
+    SPARDL_CHECK(slot.state != State::kWaiting || !(*slot.pred)())
+        << "lost wakeup: worker " << rank << " ready but never notified";
+  }
   std::string detail;
   int shown = 0;
   for (size_t rank = 0; rank < slots_.size(); ++rank) {

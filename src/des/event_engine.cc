@@ -28,7 +28,7 @@ void EventEngine::WorkerExit() {
   --active_;
   SPARDL_DCHECK(active_ >= 0);
   // One fewer runnable thread may make the remaining sleepers quiescent;
-  // wake one so it re-evaluates the pump condition.
+  // wake them all so one of them re-evaluates the pump condition.
   cv_.notify_all();
 }
 

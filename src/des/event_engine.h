@@ -145,7 +145,8 @@ class LinkServer {
 /// Cooperative backend: when the calling thread runs fibers
 /// (`CoopScheduler::Current() != null`), `BlockUntil` delegates the wait
 /// to the scheduler, which pumps via the public `PumpOneLocked` hook at
-/// its own all-workers-blocked cuts. The quiescence/sleeper machinery
+/// its own all-workers-blocked cuts and wakes each resolved flow's
+/// receiver (`FlowDst`). The quiescence/sleeper machinery
 /// below then sits idle — fibers never park in `cv_`.
 ///
 /// Locking: one engine mutex guards everything — flows, links, queue,
@@ -179,6 +180,13 @@ class EventEngine {
   /// per-pair sequence`. Caller holds `mu()`. Key 0 is never returned
   /// (the self-pair (0, 0) cannot send).
   uint64_t InjectFlowLocked(int src, int dst, size_t words, double sent_at);
+
+  /// The receiver rank encoded in flow key `flow` (the key's upper half
+  /// is `src*P + dst`).
+  int FlowDst(uint64_t flow) const {
+    return static_cast<int>((flow >> 32) %
+                            static_cast<uint64_t>(topology_.num_workers()));
+  }
 
   /// True once `flow`'s arrival time has been computed. Caller holds
   /// `mu()`.

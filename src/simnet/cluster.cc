@@ -102,6 +102,7 @@ Status Cluster::RunOnFibers(const std::function<void(Comm&)>& worker_fn,
           network->InterruptWaiters();
         }
       });
+  scheduler_stats_ += scheduler.stats();
   if (checker != nullptr && checker->failed()) {
     poisoned_ = true;
     return checker->status();
@@ -216,6 +217,7 @@ void Cluster::ResetClocksAndStats() {
     comm->ResetClock();
     comm->stats().Reset();
   }
+  scheduler_stats_ = SchedulerStats{};
   // Link busy clocks (on either charging engine) must rewind with the
   // worker clocks, or leftover warm-up occupancy would delay post-reset
   // flows.

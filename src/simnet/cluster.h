@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "des/coop_scheduler.h"
 #include "simnet/comm.h"
 #include "simnet/network.h"
 #include "simnet/protocol_check.h"
@@ -113,6 +114,12 @@ class Cluster {
   /// CHECK-fails.
   Status Run(const std::function<void(Comm&)>& worker_fn);
 
+  /// What the fiber scheduler did across the `Run`s since the last
+  /// `ResetClocksAndStats` (resumes, predicate evaluations, wakeups,
+  /// engine pumps) — the simulator's own cost, beside the simulated
+  /// one. All zero on the thread backend.
+  const SchedulerStats& scheduler_stats() const { return scheduler_stats_; }
+
   /// Max simulated clock across workers (the cluster's makespan).
   double MaxSimSeconds() const;
 
@@ -126,8 +133,8 @@ class Cluster {
   uint64_t MaxMessagesReceived() const;
 
   /// Zeroes all clocks and stats — the topology's per-link busy clocks
-  /// and usage counters, and any recorded trace spans (between measured
-  /// phases).
+  /// and usage counters, the scheduler counters, and any recorded trace
+  /// spans (between measured phases).
   void ResetClocksAndStats();
 
  private:
@@ -146,6 +153,7 @@ class Cluster {
   std::unique_ptr<TraceRecorder> trace_recorder_;
   std::unique_ptr<ProtocolChecker> protocol_checker_;
   ExecBackend backend_ = ExecBackend::kThread;
+  SchedulerStats scheduler_stats_;
   /// Set once a run returned non-OK: workers were unwound mid-collective,
   /// so mailboxes/clocks are garbage and further runs must not start.
   bool poisoned_ = false;

@@ -12,6 +12,25 @@
 
 namespace spardl {
 
+namespace {
+
+// The cooperative backend re-checks a waiter only when told to (see
+// CoopScheduler's notify contract). Both are no-ops on plain threads,
+// which wait on condition variables instead.
+void NotifyFiber(int rank) {
+  if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+    scheduler->Notify(rank);
+  }
+}
+
+void NotifyAllFibers() {
+  if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+    scheduler->NotifyAll();
+  }
+}
+
+}  // namespace
+
 size_t PayloadWords(const Payload& payload) {
   struct Visitor {
     size_t operator()(const SparseVector& v) const { return v.WireWords(); }
@@ -102,6 +121,7 @@ void Network::ThrowIfInterrupted() const {
 }
 
 void Network::InterruptWaiters() {
+  NotifyAllFibers();
   if (engine_) {
     std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
     engine_->NotifyAllLocked();
@@ -140,6 +160,8 @@ void Network::Post(int src, int dst, Packet packet) {
     packet.flow =
         engine_->InjectFlowLocked(src, dst, packet.words, packet.sent_at);
     box.queue.push_back(std::move(packet));
+    // No fiber notify: the new flow is unresolved, so no receive
+    // predicate can hold until PumpEngine resolves it (and wakes dst).
     engine_->NotifyAllLocked();
     return;
   }
@@ -148,6 +170,7 @@ void Network::Post(int src, int dst, Packet packet) {
     box.queue.push_back(std::move(packet));
   }
   box.cv.notify_all();
+  NotifyFiber(dst);
 }
 
 Network::Delivered Network::RecvPacket(int src, int dst, int tag,
@@ -229,8 +252,8 @@ Packet Network::Take(int src, int dst, int tag) {
     if (CoopScheduler* scheduler = CoopScheduler::Current();
         scheduler != nullptr) {
       // Fibers share one OS thread: drop the lock across the switch
-      // (see CoopScheduler's locking contract) and let the scheduler
-      // poll — the sender fiber posts under this same thread, so the
+      // (see CoopScheduler's locking contract); the sender's Post
+      // notifies this worker, and runs on this same thread, so the
       // lock-free predicate read is race-free.
       lock.unlock();
       scheduler->Wait([&] { return interrupted() || has_tag(); }, [&] {
@@ -265,6 +288,7 @@ void Network::BarrierWait() {
     const uint64_t my_generation = barrier_generation_;
     if (arrive()) {
       engine_->NotifyAllLocked();
+      NotifyAllFibers();
       return;
     }
     engine_->BlockUntil(
@@ -281,6 +305,7 @@ void Network::BarrierWait() {
   const uint64_t my_generation = barrier_generation_;
   if (arrive()) {
     barrier_cv_.notify_all();
+    NotifyAllFibers();
     return;
   }
   const auto released = [&] {
@@ -315,6 +340,7 @@ double Network::MaxClockSync(int rank, double value) {
     const uint64_t my_generation = sync_generation_;
     if (publish()) {
       engine_->NotifyAllLocked();
+      NotifyAllFibers();
       return sync_result_;
     }
     engine_->BlockUntil(
@@ -329,6 +355,7 @@ double Network::MaxClockSync(int rank, double value) {
   const uint64_t my_generation = sync_generation_;
   if (publish()) {
     sync_cv_.notify_all();
+    NotifyAllFibers();
     return sync_result_;
   }
   const auto latched = [&] {

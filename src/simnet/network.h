@@ -162,8 +162,8 @@ class Network {
   /// invariant; trivially true on the busy-until engine).
   bool SimIdle() const { return engine_ == nullptr || engine_->Idle(); }
 
-  /// Reusable rendezvous for all `size` workers. `slot` lets callers use
-  /// the two-phase max-clock sync without races.
+  /// Reusable rendezvous for all `size` workers (generation-counted, so
+  /// back-to-back barriers cannot mix up their waiters).
   void BarrierWait();
 
   /// Publishes `value` to a per-rank slot and returns the max over all

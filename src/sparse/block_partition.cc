@@ -49,6 +49,15 @@ SrsBagLayout::SrsBagLayout(int num_workers, int rank)
   }
 }
 
+SrsBag SrsBagLayout::BagOf(int num_workers, int rank, int bag) {
+  SPARDL_DCHECK(rank >= 0 && rank < num_workers);
+  SPARDL_DCHECK(bag >= 0 && bag <= NumSteps(num_workers));
+  if (bag == 0) return SrsBag{num_workers, rank, 0, 1};
+  const int first = 1 << (bag - 1);
+  const int end = std::min(first << 1, num_workers);
+  return SrsBag{num_workers, rank, first, end - first};
+}
+
 std::vector<int> SrsBagLayout::HeldBlocksBeforeStep(int step) const {
   SPARDL_CHECK_GE(step, 1);
   // Sent so far: bags l, l-1, ..., l-step+2  (steps 1..step-1).

@@ -44,6 +44,20 @@ class BlockPartition {
   size_t width_;
 };
 
+/// One SRS bag, computed on the fly: `size()` consecutive blocks on the
+/// circle, starting `first_offset` blocks after `rank`.
+struct SrsBag {
+  int num_workers = 1;
+  int rank = 0;
+  int first_offset = 0;
+  int count = 0;
+
+  size_t size() const { return static_cast<size_t>(count); }
+  int operator[](size_t i) const {
+    return (rank + first_offset + static_cast<int>(i)) % num_workers;
+  }
+};
+
 /// The Spar-Reduce-Scatter bag layout for one worker (paper §III-B).
 ///
 /// Worker w's P blocks are arranged on a circle starting at block w. Block w
@@ -69,6 +83,11 @@ class SrsBagLayout {
     SPARDL_DCHECK_LE(static_cast<size_t>(bag), bags_.size() - 1);
     return bags_[bag];
   }
+
+  /// Bag `bag` of `rank`'s layout without building the layout, equal to
+  /// `SrsBagLayout(num_workers, rank).Bag(bag)`: bag 0 is {rank}; bag
+  /// b >= 1 is offsets [2^(b-1), min(2^b, P)) from `rank` on the circle.
+  static SrsBag BagOf(int num_workers, int rank, int bag);
 
   /// The bag sent at transmission step `step` in [1, num_steps].
   int BagForStep(int step) const { return num_steps_ - step + 1; }

@@ -94,6 +94,26 @@ TEST(SrsBagLayoutTest, CircularWrapAround) {
   EXPECT_EQ(layout.Bag(3), (std::vector<int>{2, 3}));
 }
 
+void ExpectBagOfMatchesLayout(int p, int rank) {
+  const SrsBagLayout layout(p, rank);
+  for (int bag = 0; bag <= layout.num_steps(); ++bag) {
+    const SrsBag direct = SrsBagLayout::BagOf(p, rank, bag);
+    std::vector<int> blocks;
+    for (size_t i = 0; i < direct.size(); ++i) blocks.push_back(direct[i]);
+    EXPECT_EQ(blocks, layout.Bag(bag))
+        << "P=" << p << " rank=" << rank << " bag=" << bag;
+  }
+}
+
+TEST(SrsBagLayoutTest, BagOfMatchesFullLayoutForEveryBag) {
+  for (int p = 1; p <= 70; ++p) {
+    for (int rank = 0; rank < p; ++rank) ExpectBagOfMatchesLayout(p, rank);
+  }
+  for (int rank : {0, 1, 2, 511, 512, 513, 777, 1022, 1023}) {
+    ExpectBagOfMatchesLayout(1024, rank);
+  }
+}
+
 class SrsBagLayoutSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SrsBagLayoutSweep, BagsPartitionAllBlocks) {

@@ -16,6 +16,7 @@
 
 #include "baselines/registry.h"
 #include "common/logging.h"
+#include "des/coop_scheduler.h"
 #include "dl/grad_profile.h"
 #include "simnet/cluster.h"
 #include "sparse/sparse_vector.h"
@@ -66,6 +67,10 @@ struct RunOutcome {
   /// Hash over *all* workers' outputs — catches a replica diverging on a
   /// worker other than 0.
   uint64_t all_workers_hash = 0;
+  /// The simulator's own cost (all zero on the thread backend) and the
+  /// messages it delivered, summed over workers.
+  SchedulerStats scheduler;
+  uint64_t messages_received = 0;
 };
 
 /// One measured run of a log-round method on an oversubscribed fat-tree
@@ -117,6 +122,8 @@ RunOutcome ContendedRun(ExecBackend backend, ChargeEngine engine,
     }
   }
   outcome.all_workers_hash = h;
+  outcome.scheduler = cluster.scheduler_stats();
+  outcome.messages_received = cluster.TotalStats().messages_received;
   return outcome;
 }
 
@@ -209,6 +216,32 @@ TEST(CoopBackendTest, BusyEngineClocksReproducibleOnFibers) {
   }
 }
 
+// The wake cost must not grow with P: a resolved flow re-checks only its
+// receiver, so predicate evaluations per delivered message stay flat from
+// P = 64 to P = 1024. A scheduler that rescans every waiter after each
+// resolution makes this ratio grow with P (about 16x here).
+TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
+  if (!FiberBackendAvailable()) {
+    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  }
+  const auto evals_per_message = [](int p) {
+    const RunOutcome outcome =
+        ContendedRun(ExecBackend::kFiber, ChargeEngine::kEventOrdered,
+                     "spardl", p, /*n=*/100'000, /*k=*/100, /*iterations=*/1);
+    EXPECT_GT(outcome.messages_received, 0u);
+    EXPECT_GE(outcome.scheduler.resumes, static_cast<uint64_t>(p));
+    EXPECT_GT(outcome.scheduler.wakeups, 0u);
+    EXPECT_GT(outcome.scheduler.engine_pumps, 0u);
+    return static_cast<double>(outcome.scheduler.predicate_evals) /
+           static_cast<double>(outcome.messages_received);
+  };
+  const double small = evals_per_message(64);
+  const double large = evals_per_message(1024);
+  EXPECT_LE(large, 2.0 * small)
+      << "evals/message: " << small << " at P=64, " << large
+      << " at P=1024";
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, BackendEquivalenceTest,
                          ::testing::Values(ChargeEngine::kBusyUntil,
                                            ChargeEngine::kEventOrdered),
@@ -292,6 +325,52 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedOnBusyEngine) {
         });
       },
       "collective deadlock");
+}
+
+// The notify contract, exercised on the scheduler directly: a waiter is
+// re-checked only after a `Notify` naming it.
+TEST(CoopSchedulerTest, NotifiedWaiterWakes) {
+  if (!FiberBackendAvailable()) {
+    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  }
+  CoopScheduler scheduler;
+  bool flag = false;
+  scheduler.Run(2, /*engine=*/nullptr, [&](int rank) {
+    if (rank == 0) {
+      scheduler.Wait([&] { return flag; },
+                     [] { return std::string("waiting on flag"); });
+    } else {
+      flag = true;
+      scheduler.Notify(0);
+    }
+  });
+  EXPECT_TRUE(flag);
+  EXPECT_EQ(scheduler.stats().wakeups, 1u);
+  EXPECT_EQ(scheduler.stats().resumes, 3u);
+}
+
+// A state change nobody notifies about must not pass for a deadlock: at
+// the stall, the scheduler finds the waiter whose predicate already holds
+// and names the missed notify.
+TEST(CoopBackendDeathTest, MissedNotifyIsDiagnosedAsLostWakeup) {
+  if (!FiberBackendAvailable()) {
+    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  }
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        CoopScheduler scheduler;
+        bool flag = false;
+        scheduler.Run(2, /*engine=*/nullptr, [&](int rank) {
+          if (rank == 0) {
+            scheduler.Wait([&] { return flag; },
+                           [] { return std::string("waiting on flag"); });
+          } else {
+            flag = true;  // bug under test: no scheduler.Notify(0)
+          }
+        });
+      },
+      "lost wakeup: worker 0 ready but never notified");
 }
 
 }  // namespace
