@@ -19,12 +19,9 @@
 // the synchronous epoch that recovers on each fabric.
 //
 //   $ ./build/bench/bench_ext_overlap [--workers N] [--iterations N]
-//         [--topology SPEC] [--engine busy|event]
-//         [--placement contiguous|rack|interleaved]
+//         [--topology SPEC] [--placement contiguous|rack|interleaved]
 //
-// --topology replaces the two-fabric sweep with one fabric; --engine
-// selects the charge engine everywhere (event = the deterministic simnet
-// v3 discrete-event engine).
+// --topology replaces the two-fabric sweep with one fabric.
 
 #include <cstdio>
 #include <string>
@@ -53,11 +50,6 @@ int main(int argc, char** argv) {
                // hiding transfers behind backward pays off most.
                TopologySpec::FatTree(p, /*rack_size=*/p >= 8 ? 4 : 2,
                                      /*oversubscription=*/8.0, cm)};
-    // Deterministic table by default; --engine busy opts back into the
-    // busy-until engine's (bounded) contention nondeterminism.
-    for (TopologySpec& fabric : fabrics) {
-      fabric.engine = args.engine.value_or(ChargeEngine::kEventOrdered);
-    }
   }
 
   const TrainingCaseSpec spec = bench::MakeDeepOverlapCase();

@@ -9,11 +9,10 @@
 // 4.6/4.3/2.2x (LSTM-PTB) over TopkA/TopkDSA/Ok-Topk.
 //
 //   $ ./build/bench/bench_fig9_convergence [--workers N] [--iterations N]
-//         [--topology SPEC] [--engine busy|event]
+//         [--topology SPEC]
 //
-// --topology/--engine run the same convergence comparison on a non-flat
-// fabric (e.g. "fattree:4x8x2+event") — an extension beyond the paper's
-// flat model.
+// --topology runs the same convergence comparison on a non-flat fabric
+// (e.g. "fattree:4x8x2") — an extension beyond the paper's flat model.
 
 #include <cstdio>
 #include <string>

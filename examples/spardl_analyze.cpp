@@ -137,10 +137,9 @@ int PrintMetricsDoc(const std::string& path) {
   int broken = 0;
   size_t index = 0;
   for (const JsonValue& run : runs->array_items) {
-    std::printf("run %zu '%s' on %s (%s): makespan %.6fs\n", ++index,
+    std::printf("run %zu '%s' on %s: makespan %.6fs\n", ++index,
                 run.StringOr("label", "?").c_str(),
                 run.StringOr("topology", "?").c_str(),
-                run.StringOr("engine", "?").c_str(),
                 run.NumberOr("makespan_seconds", 0.0));
     const JsonValue* analysis = run.Find("analysis");
     if (analysis == nullptr || !analysis->is_object()) {

@@ -4,14 +4,11 @@
 // prints measured per-update costs next to the flat-model baseline.
 //
 //   $ ./build/examples/topology_explorer [topology] [P] [n] [k_ratio]
-//         [engine]
 //
 // `topology` is flat | star | ring | fattree |
 // fattree:<rack>x<oversub>[x<cores>] | torus:<w>x<h> (e.g. "fattree:4x8"
 // or the 2-core ECMP "fattree:4x8x2"), or "all" (default) to sweep every
-// fabric. Any spec takes a "+event" suffix, and `engine` (busy | event)
-// applies to the whole sweep — event is the simnet v3 deterministic
-// discrete-event engine.
+// fabric.
 
 #include <cstdio>
 #include <cstdlib>
@@ -60,24 +57,11 @@ int main(int argc, char** argv) {
   const size_t n =
       argc > 3 ? static_cast<size_t>(std::atoll(argv[3])) : 2'000'000;
   const double k_ratio = argc > 4 ? std::atof(argv[4]) : 0.01;
-  const std::string engine_arg = argc > 5 ? argv[5] : "";
-  ChargeEngine engine = ChargeEngine::kBusyUntil;
-  if (engine_arg == "event") {
-    engine = ChargeEngine::kEventOrdered;
-  } else if (!engine_arg.empty() && engine_arg != "busy") {
-    std::fprintf(stderr, "unknown engine '%s' (want busy|event)\n",
-                 engine_arg.c_str());
-    return 2;
-  }
 
-  const std::string engine_note =
-      engine_arg.empty() ? std::string("per-spec charge (default busy-until)")
-                         : std::string(ChargeEngineName(engine));
   std::printf(
       "Topology explorer: measured per-update costs on simulated fabrics\n"
-      "(P=%d, n=%zu, k/n=%g, Ethernet alpha-beta budget per hop, "
-      "%s engine)\n\n",
-      p, n, k_ratio, engine_note.c_str());
+      "(P=%d, n=%zu, k/n=%g, Ethernet alpha-beta budget per hop)\n\n",
+      p, n, k_ratio);
 
   std::vector<TopologySpec> specs;
   if (topology == "all") {
@@ -98,13 +82,7 @@ int main(int argc, char** argv) {
     }
     specs.push_back(*parsed);
   }
-  for (TopologySpec& spec : specs) {
-    // An explicit positional engine overrides the whole sweep (either
-    // direction); otherwise any per-spec "+event"/"+busy" suffix (already
-    // folded into the parsed spec) stands.
-    if (!engine_arg.empty()) spec.engine = engine;
-    ExploreOne(spec, n, k_ratio);
-  }
+  for (const TopologySpec& spec : specs) ExploreOne(spec, n, k_ratio);
 
   std::printf(
       "Reading: pick the method whose traffic shape matches your fabric — "

@@ -4,12 +4,12 @@
 // Chrome trace of every worker and the hottest links.
 //
 //   $ ./build/examples/trace_explorer [--workers P] [--iterations N]
-//         [--topology SPEC] [--engine busy|event]
+//         [--topology SPEC]
 //         [--trace-out trace.json] [--metrics-out metrics.json]
 //
-// Defaults to an oversubscribed two-rack fat-tree on the event-ordered
-// engine — a fabric where the rack-to-core trunk links are the
-// bottleneck, which the link table should surface as the busiest rows.
+// Defaults to an oversubscribed two-rack fat-tree — a fabric where the
+// rack-to-core trunk links are the bottleneck, which the link table
+// should surface as the busiest rows.
 
 #include <algorithm>
 #include <cstdio>
@@ -32,13 +32,12 @@ int main(int argc, char** argv) {
   const int p = args.workers_or(8);
   const int iterations = args.iterations_or(2);
 
-  // Two racks, heavily oversubscribed trunks, event engine — unless the
-  // harness flags say otherwise.
-  TopologySpec fallback =
+  // Two racks, heavily oversubscribed trunks — unless the harness flags
+  // say otherwise.
+  const TopologySpec fabric = *args.TopologyOr(
       TopologySpec::FatTree(p, /*rack_size=*/(p + 1) / 2,
-                            /*oversubscription=*/8.0);
-  fallback.engine = ChargeEngine::kEventOrdered;
-  const TopologySpec fabric = *args.TopologyOr(fallback, p);
+                            /*oversubscription=*/8.0),
+      p);
 
   const size_t n = 1 << 16;
   const size_t k = n / 100;
@@ -74,11 +73,10 @@ int main(int argc, char** argv) {
 
   const std::string label(algos[0]->name());
   const RunMetrics metrics = CollectRunMetrics(cluster, label);
-  std::printf("%s on %s (%s engine): %d iterations, makespan %.6fs, "
+  std::printf("%s on %s: %d iterations, makespan %.6fs, "
               "%zu spans recorded\n\n",
-              label.c_str(), metrics.topology.c_str(),
-              metrics.engine.c_str(), iterations, metrics.makespan_seconds,
-              cluster.tracer()->TotalSpans());
+              label.c_str(), metrics.topology.c_str(), iterations,
+              metrics.makespan_seconds, cluster.tracer()->TotalSpans());
   std::printf("Top phases (seconds summed over %d workers):\n%s\n", p,
               TopPhasesTable(metrics).c_str());
   std::printf("Busiest links:\n%s\n",

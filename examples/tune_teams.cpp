@@ -7,7 +7,7 @@
 // fabric (e.g. an oversubscribed fat-tree) both the optimal d and the
 // optimal layout can differ from the flat answer — which is the point.
 //
-//   $ ./build/examples/tune_teams [P] [--topology SPEC] [--engine busy|event]
+//   $ ./build/examples/tune_teams [P] [--topology SPEC]
 //         [--placement contiguous|rack|interleaved] [--workers N]
 //         [--iterations N]
 //

@@ -21,12 +21,12 @@ CoopScheduler::~CoopScheduler() = default;
 
 CoopScheduler* CoopScheduler::Current() { return g_current_scheduler; }
 
-void CoopScheduler::Run(int num_workers, EventEngine* engine,
+void CoopScheduler::Run(int num_workers, EventEngine& engine,
                         const std::function<void(int)>& body) {
   SPARDL_CHECK(g_current_scheduler == nullptr)
       << "nested CoopScheduler::Run";
   SPARDL_CHECK_GE(num_workers, 1);
-  engine_ = engine;
+  engine_ = &engine;
   stats_ = SchedulerStats{};
   slots_.clear();
   slots_.resize(static_cast<size_t>(num_workers));
@@ -58,7 +58,7 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
     ready_.clear();
     if (done >= num_workers) break;
     if (WakeNotifiedWaiters()) continue;
-    if (engine_ != nullptr && PumpEngine()) continue;
+    if (PumpEngine()) continue;
     DiagnoseStall();
   }
   g_current_scheduler = nullptr;

@@ -56,11 +56,12 @@ struct SchedulerStats {
 /// exactly four ways:
 ///   - a flow resolves: the scheduler itself notifies the flow's `dst`
 ///     (`PumpEngine`);
-///   - a busy-until `Post` lands a packet: `Post` notifies `dst`;
+///   - a message lands on a closed-form fabric (flat):
+///     `EventEngine::InjectFlowLocked` notifies `dst`;
 ///   - a barrier releases or a clock sync latches: the last arriver
-///     calls `NotifyAll`;
+///     calls `EventEngine::NotifyAllLocked`;
 ///   - a protocol violation interrupts the run: `InterruptWaiters` calls
-///     `NotifyAll`.
+///     `EventEngine::NotifyAllLocked`.
 /// A notify for a worker that is not waiting is dropped: the worker
 /// checks its predicate itself when it next calls `Wait`. A missed
 /// notify shows up at the next stall, where one full scan finds a
@@ -91,10 +92,9 @@ class CoopScheduler {
   CoopScheduler& operator=(const CoopScheduler&) = delete;
 
   /// Runs `body(rank)` for every rank in [0, num_workers) to
-  /// completion on fibers. `engine` is the fabric's event engine, or
-  /// null on busy-until fabrics (nothing to pump; waiters are only
-  /// released by other workers' notifies). Not reentrant.
-  void Run(int num_workers, EventEngine* engine,
+  /// completion on fibers, pumping `engine` (the fabric's event engine)
+  /// at stalls. Not reentrant.
+  void Run(int num_workers, EventEngine& engine,
            const std::function<void(int)>& body);
 
   /// From inside a worker fiber: cooperatively blocks until `pred()`

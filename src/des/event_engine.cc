@@ -12,7 +12,9 @@ namespace spardl {
 
 EventEngine::EventEngine(const Topology& topology)
     : topology_(topology),
+      closed_form_(topology.closed_form_charge()),
       clocks_(static_cast<size_t>(topology.num_workers())) {
+  if (closed_form_) return;
   links_.resize(static_cast<size_t>(topology.num_links()));
   const size_t p = static_cast<size_t>(topology.num_workers());
   pair_seq_.assign(p * p, 0);
@@ -32,11 +34,29 @@ void EventEngine::WorkerExit() {
   cv_.notify_all();
 }
 
+void EventEngine::NotifyAllLocked() {
+  cv_.notify_all();
+  if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+    scheduler->NotifyAll();
+  }
+}
+
 uint64_t EventEngine::InjectFlowLocked(int src, int dst, size_t words,
                                        double sent_at) {
   const int p = topology_.num_workers();
   SPARDL_DCHECK(src >= 0 && src < p);
   SPARDL_DCHECK(dst >= 0 && dst < p);
+  // Threads: a new message may release its receiver (closed form) or
+  // make an event pumpable under the safe horizon (flows).
+  cv_.notify_all();
+  if (closed_form_) {
+    if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+      scheduler->Notify(dst);
+    }
+    return 0;
+  }
+  // No fiber notify for a flow: it is unresolved, so no receive
+  // predicate can hold until PumpEngine resolves it (and wakes dst).
   const size_t pair = static_cast<size_t>(src) * static_cast<size_t>(p) +
                       static_cast<size_t>(dst);
   const uint64_t key = (static_cast<uint64_t>(pair) << 32) | pair_seq_[pair];
@@ -54,12 +74,17 @@ uint64_t EventEngine::InjectFlowLocked(int src, int dst, size_t words,
   return key;
 }
 
-double EventEngine::TakeArrivalLocked(uint64_t flow) {
+double EventEngine::TakeDeliveryLocked(uint64_t flow, int src, int dst,
+                                       size_t words, double sent_at,
+                                       double receiver_now) {
+  if (flow == 0) {
+    return topology_.ChargeMessage(src, dst, words, sent_at, receiver_now);
+  }
   auto it = resolved_.find(flow);
   SPARDL_CHECK(it != resolved_.end()) << "unresolved flow consumed";
   const double arrival = it->second;
   resolved_.erase(it);
-  return arrival;
+  return std::max(receiver_now, arrival);
 }
 
 bool EventEngine::AnySleeperReadyLocked() const {
@@ -85,8 +110,7 @@ uint64_t EventEngine::PumpOneLocked() {
   Flow& flow = it->second;
 
   const LinkId id = flow.path[static_cast<size_t>(flow.hop)];
-  // link_info folds SetNodeScale into alpha/beta, exactly like the
-  // busy-until engine's per-hop loop.
+  // link_info folds SetNodeScale into alpha/beta.
   const LinkInfo link = topology_.link_info(id);
   const double serialize = link.beta * static_cast<double>(flow.words);
   const uint64_t bytes = static_cast<uint64_t>(flow.words) * 4;
@@ -197,8 +221,9 @@ bool EventEngine::Idle() const {
 }
 
 LinkUsage EventEngine::link_usage(LinkId id) const {
+  SPARDL_CHECK(id >= 0 && id < topology_.num_links());
+  if (closed_form_) return LinkUsage{};
   std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  SPARDL_CHECK(id >= 0 && id < static_cast<int>(links_.size()));
   return links_[static_cast<size_t>(id)].usage();
 }
 

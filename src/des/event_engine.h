@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/lockcheck.h"
+#include "obs/trace.h"
 #include "topo/topology.h"
 
 namespace spardl {
@@ -75,9 +76,7 @@ class EventQueue {
 };
 
 /// Per-link transmission server: owns the link's busy-until clock and
-/// applies the cut-through hop arithmetic (identical to the busy-until
-/// engine's `Topology::ChargeMessage` inner loop, so the two engines agree
-/// exactly whenever they see the same per-link event order).
+/// applies the cut-through hop arithmetic (see `Topology`).
 class LinkServer {
  public:
   /// Serves one header arriving at `head_in`: the header leaves at
@@ -109,16 +108,20 @@ class LinkServer {
   LinkUsage usage_;
 };
 
-/// The simnet v3 deterministic discrete-event engine.
+/// The simnet v3 deterministic discrete-event engine: the one mechanism
+/// that charges messages and blocks workers, on every fabric.
 ///
-/// Motivation: the busy-until engine charges a flow's whole route when its
-/// *receiver* executes `Recv`, so two flows contending for a link queue in
-/// whatever wall-clock order the receiving threads ran — contended times
-/// shift run to run. This engine instead injects a flow when its *sender*
-/// posts it (link occupancy was already anchored at logical send times, so
-/// no receiver-side information is needed) and processes per-hop
-/// transmission events in `(time, flow key)` order from a global
-/// `EventQueue`.
+/// A flow is injected when its *sender* posts it (link occupancy is
+/// anchored at logical send times, so no receiver-side information is
+/// needed), and per-hop transmission events are processed in
+/// `(time, flow key)` order from a global `EventQueue`, so contended
+/// times never depend on which thread happened to run first.
+///
+/// Closed-form fabrics (`Topology::closed_form_charge`, i.e. flat) have
+/// no link state to order: the engine injects nothing for them, hands
+/// out flow key 0 (always resolved), and charges the topology's closed
+/// form at delivery. It allocates no `LinkServer`s and no per-pair
+/// sequence table there (flat has P^2 links).
 ///
 /// Conservative processing: worker threads run freely between blocking
 /// points; the queue is pumped at *quiescent cuts* — every registered
@@ -151,7 +154,7 @@ class LinkServer {
 ///
 /// Locking: one engine mutex guards everything — flows, links, queue,
 /// sleeper registry, and (via `mu()`) the `Network` state that must change
-/// atomically with them in event mode (mailboxes, barrier, clock sync).
+/// atomically with them (mailboxes, barrier, clock sync).
 /// All waits go through `BlockUntil`, so the last runnable thread always
 /// pumps instead of sleeping and the queue can never be starved by
 /// sleepers.
@@ -165,9 +168,9 @@ class EventEngine {
   EventEngine& operator=(const EventEngine&) = delete;
 
   /// The engine mutex. `Network` holds it (via `std::unique_lock`) across
-  /// every event-mode mailbox/barrier/sync operation. Lock-order checked
-  /// in debug builds (family "simnet.engine").
-  lockcheck::OrderedMutex& mu() { return mu_; }
+  /// every mailbox/barrier/sync operation. Lock-order checked in debug
+  /// builds (family "simnet.engine").
+  lockcheck::OrderedMutex& mu() const { return mu_; }
 
   /// Worker-thread registration (from `Cluster::Run`): `BlockUntil` pumps
   /// only when all registered workers are blocked. With no registrations
@@ -177,8 +180,9 @@ class EventEngine {
 
   /// Injects a `words`-word flow from `src` to `dst` at simulated time
   /// `sent_at` and returns its deterministic key: `(src*P + dst) << 32 |
-  /// per-pair sequence`. Caller holds `mu()`. Key 0 is never returned
-  /// (the self-pair (0, 0) cannot send).
+  /// per-pair sequence` (never 0: the self-pair (0, 0) cannot send). On
+  /// closed-form fabrics injects nothing, returns 0, and notifies `dst`,
+  /// whose message is deliverable at once. Caller holds `mu()`.
   uint64_t InjectFlowLocked(int src, int dst, size_t words, double sent_at);
 
   /// The receiver rank encoded in flow key `flow` (the key's upper half
@@ -188,15 +192,19 @@ class EventEngine {
                             static_cast<uint64_t>(topology_.num_workers()));
   }
 
-  /// True once `flow`'s arrival time has been computed. Caller holds
-  /// `mu()`.
+  /// True once `flow`'s arrival time has been computed (always for the
+  /// closed-form key 0). Caller holds `mu()`.
   bool ResolvedLocked(uint64_t flow) const {
-    return resolved_.count(flow) != 0;
+    return flow == 0 || resolved_.count(flow) != 0;
   }
 
-  /// Consumes and returns `flow`'s arrival time; CHECK-fails unless
-  /// resolved. Caller holds `mu()`.
-  double TakeArrivalLocked(uint64_t flow);
+  /// Consumes a resolved message and returns its delivery time at a
+  /// receiver whose clock reads `receiver_now`: the topology's closed
+  /// form for key 0, else `max(receiver_now, arrival)` (traversal
+  /// overlaps receiver compute; consumption waits for whichever finishes
+  /// last). CHECK-fails on an unresolved flow. Caller holds `mu()`.
+  double TakeDeliveryLocked(uint64_t flow, int src, int dst, size_t words,
+                            double sent_at, double receiver_now);
 
   /// Blocks until `pred()` holds, pumping the event queue at quiescent
   /// cuts. `pred` is evaluated only under `mu()` — by this thread, and by
@@ -210,9 +218,9 @@ class EventEngine {
                   const std::function<bool()>& pred, double timeout_seconds,
                   const std::function<std::string()>& describe);
 
-  /// Wakes every blocked thread (after posting a packet, releasing a
-  /// barrier, ...). Caller holds `mu()`.
-  void NotifyAllLocked() { cv_.notify_all(); }
+  /// Wakes every blocked worker on either backend (barrier release,
+  /// clock-sync latch, interrupts). Caller holds `mu()`.
+  void NotifyAllLocked();
 
   /// Publishes `rank`'s simulated clock for the safe-horizon pump rule
   /// (called from `Comm` on every clock change, without `mu()`). Relaxed
@@ -244,7 +252,8 @@ class EventEngine {
   /// invariant, checked by `Cluster::Run`).
   bool Idle() const;
 
-  /// Cumulative charge counters for one link. Thread-safe.
+  /// Cumulative charge counters for one link (zero on closed-form
+  /// fabrics). Thread-safe.
   LinkUsage link_usage(LinkId id) const;
 
   /// Attaches a span recorder: every pumped hop records one `kLink`
@@ -277,6 +286,8 @@ class EventEngine {
   double HorizonLocked() const;
 
   const Topology& topology_;
+  /// `topology_.closed_form_charge()`, cached: nothing to inject or pump.
+  const bool closed_form_;
   mutable lockcheck::OrderedMutex mu_{"simnet.engine"};
   /// `_any` so waits release/re-acquire through the checked mutex (the
   /// held-lock stack stays exact across the wait).
@@ -288,8 +299,8 @@ class EventEngine {
   EventQueue queue_;
   std::vector<PublishedClock> clocks_;  // by rank, written lock-free
   TraceRecorder* trace_recorder_ = nullptr;
-  std::vector<LinkServer> links_;                  // by LinkId
-  std::vector<uint32_t> pair_seq_;                 // per (src, dst) pair
+  std::vector<LinkServer> links_;    // by LinkId; empty when closed-form
+  std::vector<uint32_t> pair_seq_;   // per (src, dst); empty when closed-form
   std::unordered_map<uint64_t, Flow> flows_;       // in flight
   std::unordered_map<uint64_t, double> resolved_;  // arrival times
   std::list<Sleeper> sleepers_;                    // threads in cv_.wait

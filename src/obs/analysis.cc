@@ -236,11 +236,10 @@ CriticalPathReport ExtractCriticalPath(const Cluster& cluster) {
           break;
         }
         // No per-hop record: the closed-form flat fabric still yields an
-        // exact alpha/serialize split; anything else (busy-until engine,
-        // or a flow that resolved before tracing attached) becomes one
-        // opaque network segment. Either way the chain continues at the
-        // send instant when the sender gated delivery, else on this
-        // worker's own earlier timeline.
+        // exact alpha/serialize split; a flow that resolved before
+        // tracing attached becomes one opaque network segment. Either way
+        // the chain continues at the send instant when the sender gated
+        // delivery, else on this worker's own earlier timeline.
         const double s0 = rec.sent_at > leaf.t0 ? rec.sent_at : leaf.t0;
         const Topology& topology = cluster.topology();
         if (rec.flow == 0 && topology.closed_form_charge() &&
@@ -317,7 +316,7 @@ std::vector<WhatIfResult> EstimateWhatIfs(const CriticalPathReport& report,
     return info.tail >= p && info.head >= p;
   };
   // Each hypothetical maps a segment to its shrunk duration. kNetwork
-  // segments (busy-until engine) are never shrunk — the bound stays
+  // segments (flows without a record) are never shrunk — the bound stays
   // optimistic-but-safe on what was actually attributed.
   struct Scenario {
     const char* name;

@@ -19,9 +19,9 @@ class Cluster;
 /// `kCompute`/`kOverlapIdle` lie on a worker's own timeline; the three
 /// `kLink*` kinds decompose an event-engine flow into per-hop queueing,
 /// header latency, and (bottleneck) body serialization; `kNetwork` is an
-/// undecomposed network wait — the flat fabric's closed form contributes
-/// alpha/serialize splits without a real LinkId, and the busy-until
-/// engine (which keeps no per-hop records) contributes whole-flow waits.
+/// undecomposed network wait (a flow that resolved before tracing was
+/// attached, so it has no per-hop record). The flat fabric's closed form
+/// contributes alpha/serialize splits without a real LinkId.
 enum class SegmentKind : uint8_t {
   kCompute = 0,
   kOverlapIdle,
@@ -94,10 +94,10 @@ struct CriticalPathReport {
 /// barriers to the worker that set the released clock, and through recv
 /// waits into the event engine's per-hop flow records (falling back to
 /// the closed-form alpha/beta split on flat fabrics and to opaque
-/// `kNetwork` waits on the busy-until engine). Requires tracing to have
+/// `kNetwork` waits for flows without a record). Requires tracing to have
 /// been enabled for the measured window; returns an empty non-ok report
-/// otherwise. Deterministic: on the event engine the report (and its
-/// JSON) is bit-identical across runs.
+/// otherwise. Deterministic: the report (and its JSON) is bit-identical
+/// across runs.
 CriticalPathReport ExtractCriticalPath(const Cluster& cluster);
 
 /// One hypothetical re-pricing of the extracted path.

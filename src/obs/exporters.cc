@@ -165,7 +165,6 @@ RunMetrics CollectRunMetrics(const Cluster& cluster,
   RunMetrics metrics;
   metrics.label = label;
   metrics.topology = cluster.topology().Describe();
-  metrics.engine = cluster.network().event_ordered() ? "event" : "busy";
   metrics.workers = cluster.size();
   metrics.makespan_seconds = cluster.MaxSimSeconds();
   metrics.total = cluster.TotalStats();
@@ -201,10 +200,10 @@ std::string RunMetricsJson(const std::vector<RunMetrics>& runs) {
     const RunMetrics& run = runs[r];
     if (r > 0) out.push_back(',');
     out += StrFormat(
-        "\n{\"label\":\"%s\",\"topology\":\"%s\",\"engine\":\"%s\","
+        "\n{\"label\":\"%s\",\"topology\":\"%s\","
         "\"workers\":%d,\"makespan_seconds\":%s,",
         JsonEscape(run.label).c_str(), JsonEscape(run.topology).c_str(),
-        JsonEscape(run.engine).c_str(), run.workers,
+        run.workers,
         Num(run.makespan_seconds).c_str());
     out += StrFormat(
         "\"comm_seconds\":%s,\"compute_seconds\":%s,"

@@ -20,10 +20,9 @@ class Topology;
 /// empty-but-valid document when tracing is disabled.
 ///
 /// Determinism: output is byte-identical across runs whenever the spans
-/// are — which the event-ordered engine guarantees even on contended
-/// fabrics (link spans are additionally sorted by `(t0, link, t1)` so the
-/// busy-until engine's wall-clock charge order cannot leak into the
-/// document layout).
+/// are — which the event engine guarantees even on contended fabrics
+/// (link spans are additionally sorted by `(t0, link, t1)`, so the
+/// document layout does not depend on recording order).
 std::string ChromeTraceJson(const Cluster& cluster,
                             size_t max_link_tracks = 8);
 
@@ -44,7 +43,6 @@ struct RunMetrics {
 
   std::string label;
   std::string topology;
-  std::string engine;  // "event" or "busy"
   int workers = 0;
   double makespan_seconds = 0.0;
   CommStats total;

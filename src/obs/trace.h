@@ -124,10 +124,8 @@ struct IterationMark {
 /// Thread safety: `RecordWorker(w, ...)` appends to worker `w`'s own
 /// vector and must only be called from the thread running that worker
 /// (the SPMD ownership the whole simulator is built on). `RecordLink` is
-/// called from whichever thread is charging the fabric and must hold that
-/// engine's mutex (the topology charge mutex or the event-engine mutex —
-/// exactly one is active per network). `Clear` requires no workers
-/// running.
+/// called from whichever thread is pumping the event engine and must hold
+/// the engine's mutex. `Clear` requires no workers running.
 class TraceRecorder {
  public:
   explicit TraceRecorder(int num_workers);

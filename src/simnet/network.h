@@ -1,16 +1,12 @@
 #ifndef SPARDL_SIMNET_NETWORK_H_
 #define SPARDL_SIMNET_NETWORK_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <variant>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "des/event_engine.h"
 #include "simnet/cost_model.h"
 #include "sparse/sparse_vector.h"
@@ -40,8 +36,8 @@ struct Packet {
   /// Sender's simulated clock when the send was issued.
   double sent_at = 0.0;
   int tag = 0;
-  /// Event-ordered engine only: the flow key assigned at `Post` time
-  /// (0 on the busy-until engine, where charging happens at `Recv`).
+  /// The engine's flow key, assigned at `Post` time (0 on closed-form
+  /// fabrics, where the charge is computed at `Recv`).
   uint64_t flow = 0;
 };
 
@@ -52,15 +48,13 @@ struct Packet {
 /// and abort the process — a hung collective is always a bug, and a loud
 /// failure beats a silent deadlock in CI.
 ///
-/// Charging engines: when the topology selects
-/// `ChargeEngine::kEventOrdered` (and is not a closed-form fabric like
-/// `FlatTopology`), the network runs a `des::`-style `EventEngine` — flows
-/// are injected at `Post` time, per-hop events are processed in
-/// `(time, flow key)` order, and every blocking operation (receive,
-/// barrier, clock sync) routes through the engine's single mutex so the
-/// last runnable thread pumps the queue. Otherwise the legacy busy-until
-/// engine charges each message inside `Recv` via
-/// `Topology::ChargeMessage`.
+/// Charging: the network owns one `EventEngine`, which charges every
+/// fabric. Flows are injected at `Post` time and resolved in
+/// `(time, flow key)` order; closed-form fabrics (flat) inject nothing and
+/// are charged in closed form at `Recv`. Every blocking operation
+/// (receive, barrier, clock sync) holds the engine's single mutex and
+/// waits through `EventEngine::BlockUntil`, so the last runnable thread
+/// pumps the queue.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -72,8 +66,6 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  ~Network();
 
   int size() const { return size_; }
 
@@ -96,25 +88,23 @@ class Network {
   void SetWorkerSlowdown(int rank, double factor);
   double WorkerSlowdown(int rank) const { return topology_->NodeScale(rank); }
 
-  /// True when the event-ordered engine is charging this fabric.
-  bool event_ordered() const { return engine_ != nullptr; }
+  /// The event engine charging this fabric. The cooperative scheduler
+  /// pumps through it (`CoopScheduler::Run`).
+  EventEngine& event_engine() { return engine_; }
 
-  /// The event engine charging this fabric, or null (busy-until or
-  /// closed-form fabrics). The cooperative scheduler pumps through it
-  /// (`CoopScheduler::Run` takes it by pointer).
-  EventEngine* event_engine() { return engine_.get(); }
+  /// Attaches a span recorder to the engine (per-link occupancy spans and
+  /// flow records). Call while no worker threads run; the recorder must
+  /// outlive them. `Cluster::EnableTracing` does this.
+  void AttachTraceRecorder(TraceRecorder* recorder) {
+    engine_.set_trace_recorder(recorder);
+  }
 
-  /// Attaches a span recorder to whichever engine charges this fabric
-  /// (per-link occupancy spans). Call while no worker threads run; the
-  /// recorder must outlive them. `Cluster::EnableTracing` does this.
-  void AttachTraceRecorder(TraceRecorder* recorder);
+  /// Cumulative charge counters for one link. Zero on closed-form fabrics
+  /// (flat never touches link state).
+  LinkUsage link_usage(LinkId id) const { return engine_.link_usage(id); }
 
-  /// Cumulative charge counters for one link, from whichever engine is
-  /// active. Zero on closed-form fabrics (flat never touches link state).
-  LinkUsage link_usage(LinkId id) const;
-
-  /// Deposits a packet into the (src, dst) mailbox. On the event-ordered
-  /// engine this also injects the packet's flow into the event queue.
+  /// Deposits a packet into the (src, dst) mailbox and injects its flow
+  /// into the engine.
   void Post(int src, int dst, Packet packet);
 
   /// A received packet plus the receiver's advanced clock.
@@ -124,43 +114,30 @@ class Network {
   };
 
   /// Blocks until a packet with `tag` from `src` to `dst` is available
-  /// (and, on the event engine, until its arrival time is resolved),
-  /// removes it and returns it with its delivery time at a receiver whose
-  /// clock reads `receiver_now`. Packets with the same tag are delivered
-  /// FIFO. This is the one receive path both charging engines share.
+  /// and its arrival time is resolved, removes it and returns it with its
+  /// delivery time at a receiver whose clock reads `receiver_now`.
+  /// Packets with the same tag are delivered FIFO.
   Delivered RecvPacket(int src, int dst, int tag, double receiver_now);
 
-  /// Blocks until a packet with `tag` from `src` to `dst` is available and
-  /// removes it. Packets with the same tag are delivered FIFO. Busy-until
-  /// engine only — `RecvPacket` is the engine-agnostic path.
-  Packet Take(int src, int dst, int tag);
+  /// Worker-thread registration for the engine's quiescence detection.
+  /// `Cluster::Run` enters every worker before spawning any thread —
+  /// registration must not race with pump eligibility — and each worker
+  /// exits as its function returns.
+  void WorkerEnter() { engine_.WorkerEnter(); }
+  void WorkerExit() { engine_.WorkerExit(); }
 
-  /// Worker-thread registration for the event engine's quiescence
-  /// detection (no-ops on the busy-until engine). `Cluster::Run` enters
-  /// every worker before spawning any thread — registration must not
-  /// race with pump eligibility — and each worker exits as its function
-  /// returns.
-  void WorkerEnter() {
-    if (engine_) engine_->WorkerEnter();
-  }
-  void WorkerExit() {
-    if (engine_) engine_->WorkerExit();
-  }
+  /// Publishes `rank`'s simulated clock for the engine's safe-horizon
+  /// pump rule. Called by `Comm` on every clock change, without any
+  /// network lock held.
+  void PublishClock(int rank, double now) { engine_.PublishClock(rank, now); }
 
-  /// Publishes `rank`'s simulated clock for the event engine's
-  /// safe-horizon pump rule (no-op on the busy-until engine). Called by
-  /// `Comm` on every clock change, without any network lock held.
-  void PublishClock(int rank, double now) {
-    if (engine_) engine_->PublishClock(rank, now);
-  }
-
-  /// Rewinds all fabric accounting state (per-link busy clocks on either
-  /// engine) between measured phases; worker clocks rewind separately.
-  void ResetSimState();
+  /// Rewinds the per-link busy clocks and usage counters between measured
+  /// phases; worker clocks rewind separately.
+  void ResetSimState() { engine_.Reset(); }
 
   /// True when no flow is in flight or awaiting consumption (end-of-run
-  /// invariant; trivially true on the busy-until engine).
-  bool SimIdle() const { return engine_ == nullptr || engine_->Idle(); }
+  /// invariant).
+  bool SimIdle() const { return engine_.Idle(); }
 
   /// Reusable rendezvous for all `size` workers (generation-counted, so
   /// back-to-back barriers cannot mix up their waiters).
@@ -182,19 +159,13 @@ class Network {
     protocol_ = checker;
   }
 
-  /// Wakes every thread blocked in a receive, barrier, or clock sync so it
-  /// can observe a diagnosed protocol violation and unwind. Called by the
-  /// detecting thread (which holds no network locks).
+  /// Wakes every worker blocked in a receive, barrier, or clock sync so
+  /// it can observe a diagnosed protocol violation and unwind. Called by
+  /// the detecting worker (which holds no network locks).
   void InterruptWaiters();
 
  private:
-  struct Mailbox {
-    /// Busy-until engine only (event mode guards mailboxes with the
-    /// engine mutex). All P^2 mailbox mutexes are one lock-order family.
-    lockcheck::OrderedMutex mutex{"simnet.mailbox"};
-    std::condition_variable_any cv;
-    std::deque<Packet> queue;
-  };
+  using Mailbox = std::deque<Packet>;
 
   /// Throws `ProtocolViolation` when the attached checker has diagnosed a
   /// divergence (no-op otherwise). Called at every wait site.
@@ -203,40 +174,30 @@ class Network {
   /// Lock-free poll for wait predicates.
   bool interrupted() const;
 
-  /// The (src, dst) mailbox, created on first touch. Mailboxes are lazy
-  /// because the pair table is P^2: at P = 4096 eager construction is
-  /// ~16.7M boxes (gigabytes, and most pairs never talk — SparDL's
-  /// dense collectives are ring/doubling-shaped). Creation races resolve
-  /// by CAS; the loser frees its box and adopts the winner's.
-  Mailbox& BoxFor(int src, int dst);
-
-  size_t MailboxCount() const {
-    return static_cast<size_t>(size_) * static_cast<size_t>(size_);
-  }
+  /// The (src, dst) mailbox, created on first touch. Caller holds the
+  /// engine mutex. Mailboxes are lazy because the pair table is P^2: at
+  /// P = 4096 eager construction is ~16.7M boxes (gigabytes, and most
+  /// pairs never talk — SparDL's dense collectives are
+  /// ring/doubling-shaped).
+  Mailbox& BoxForLocked(int src, int dst);
 
   std::unique_ptr<Topology> topology_;
-  /// Non-null when the topology selects the event-ordered engine. In that
-  /// mode the engine's mutex guards the mailboxes and the barrier/sync
-  /// state below; the per-mailbox mutexes and `barrier_mutex_`/`sync_mutex_`
-  /// go unused.
-  std::unique_ptr<EventEngine> engine_;
+  /// Charges every message; its mutex also guards the mailboxes and the
+  /// barrier/sync state below.
+  EventEngine engine_;
   ProtocolChecker* protocol_ = nullptr;
   int size_;
   double recv_timeout_seconds_ = 120.0;
-  /// P^2 lazily-populated slots (see `BoxFor`); null until first touch.
-  /// Owned: the destructor deletes every created box.
-  std::unique_ptr<std::atomic<Mailbox*>[]> mailboxes_;
+  /// P^2 lazily-populated slots (see `BoxForLocked`); null until first
+  /// touch.
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
   // Reusable barrier (generation-counted; std::barrier needs a fixed
   // completion type, a hand-rolled one is simpler to reuse).
-  lockcheck::OrderedMutex barrier_mutex_{"simnet.barrier"};
-  std::condition_variable_any barrier_cv_;
   int barrier_waiting_ = 0;
   uint64_t barrier_generation_ = 0;
 
   // Max-clock sync state.
-  lockcheck::OrderedMutex sync_mutex_{"simnet.sync"};
-  std::condition_variable_any sync_cv_;
   int sync_count_ = 0;
   double sync_max_ = 0.0;
   double sync_result_ = 0.0;

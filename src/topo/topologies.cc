@@ -32,14 +32,15 @@ void FlatTopology::Route(int src, int dst,
 }
 
 double FlatTopology::ChargeMessage(int src, int dst, size_t words,
-                                   double sent_at, double receiver_now) {
+                                   double sent_at,
+                                   double receiver_now) const {
   (void)src;
   // Exact legacy arithmetic (same operation order as the old Comm::Recv,
   // including the branch-style max), so flat simulated times stay
-  // bit-for-bit reproducible. No busy-until update: a per-pair link only
-  // carries (src, dst) traffic, and the receiver's own clock already
-  // serializes those messages, so the link can never be busy when the next
-  // message is ready.
+  // bit-for-bit reproducible. No link state: a per-pair link only carries
+  // (src, dst) traffic, and the receiver's own clock already serializes
+  // those messages, so the link can never be busy when the next message
+  // is ready.
   const double ready = sent_at > receiver_now ? sent_at : receiver_now;
   return ready + base_cost().MessageSeconds(words) * NodeScale(dst);
 }

@@ -24,9 +24,9 @@ class FlatTopology : public Topology {
   std::string_view name() const override { return "flat"; }
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
   double ChargeMessage(int src, int dst, size_t words, double sent_at,
-                       double receiver_now) override;
-  /// The legacy closed form never reads link state, so both charge
-  /// engines produce bit-identical times and the event engine is skipped.
+                       double receiver_now) const override;
+  /// The legacy closed form never reads link state, so the event engine
+  /// injects no flows on flat.
   bool closed_form_charge() const override { return true; }
 
  private:

@@ -1,21 +1,9 @@
 #include "topo/topology.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/strings.h"
 
 namespace spardl {
-
-std::string_view ChargeEngineName(ChargeEngine engine) {
-  switch (engine) {
-    case ChargeEngine::kBusyUntil:
-      return "busy-until";
-    case ChargeEngine::kEventOrdered:
-      return "event-ordered";
-  }
-  return "?";
-}
 
 Topology::Topology(int num_workers, CostModel base_cost)
     : num_workers_(num_workers), base_cost_(base_cost) {
@@ -55,14 +43,6 @@ void Topology::SetNodeScale(int node, double factor) {
   }
 }
 
-void Topology::ResetLinkClocks() {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mutex_);
-  for (LinkState& link : links_) {
-    link.busy_until = 0.0;
-    link.usage = LinkUsage{};
-  }
-}
-
 LinkInfo Topology::link_info(LinkId id) const {
   SPARDL_CHECK(id >= 0 && id < num_links());
   const LinkState& link = links_[static_cast<size_t>(id)];
@@ -70,48 +50,14 @@ LinkInfo Topology::link_info(LinkId id) const {
                   link.beta * link.scale};
 }
 
-LinkUsage Topology::link_usage(LinkId id) const {
-  SPARDL_CHECK(id >= 0 && id < num_links());
-  std::lock_guard<lockcheck::OrderedMutex> lock(mutex_);
-  return links_[static_cast<size_t>(id)].usage;
-}
-
 double Topology::ChargeMessage(int src, int dst, size_t words,
-                               double sent_at, double receiver_now) {
-  // Per-thread scratch: Route is hot (every Recv) and must not allocate
-  // after warm-up.
-  thread_local std::vector<LinkId> path;
-  Route(src, dst, &path);
-  SPARDL_DCHECK(!path.empty()) << "empty route " << src << "->" << dst;
-
-  std::lock_guard<lockcheck::OrderedMutex> lock(mutex_);
-  double head = sent_at;     // when the message header reaches each hop
-  double bottleneck = 0.0;   // slowest link's serialization time
-  for (LinkId id : path) {
-    LinkState& link = links_[static_cast<size_t>(id)];
-    const double wait = link.busy_until > head ? link.busy_until - head : 0.0;
-    const double start = head + wait;
-    const double serialize =
-        link.beta * link.scale * static_cast<double>(words);
-    head = start + link.alpha * link.scale;
-    // The link stays occupied until the whole body has crossed it.
-    link.busy_until = head + serialize;
-    bottleneck = std::max(bottleneck, serialize);
-    link.usage.busy_seconds += link.busy_until - start;
-    link.usage.bytes += static_cast<uint64_t>(words) * sizeof(float);
-    link.usage.messages += 1;
-    link.usage.max_queue_seconds =
-        std::max(link.usage.max_queue_seconds, wait);
-    if (trace_recorder_ != nullptr) {
-      trace_recorder_->RecordLink(
-          TraceSpan{id, kStreamLink, Phase::kLink, "flow", src, dst, start,
-                    link.busy_until,
-                    static_cast<uint64_t>(words) * sizeof(float)});
-    }
-  }
-  // Traversal overlaps whatever the receiver is doing; consumption waits
-  // for whichever finishes last.
-  return std::max(receiver_now, head + bottleneck);
+                               double sent_at, double receiver_now) const {
+  (void)words;
+  (void)sent_at;
+  (void)receiver_now;
+  SPARDL_CHECK(false) << name() << " has no closed-form charge (" << src
+                      << "->" << dst << "); the event engine charges it";
+  return 0.0;
 }
 
 }  // namespace spardl

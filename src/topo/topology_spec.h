@@ -35,10 +35,9 @@ struct TopologySpec {
   /// hops so an uncontended one-hop-equivalent message still costs
   /// alpha + beta*words.
   CostModel cost = CostModel::Ethernet();
-  /// Which accounting engine charges contended links: the legacy
-  /// busy-until clocks (wall-clock charge order; cheap) or the simnet v3
-  /// event-ordered engine (bit-identical contended times across runs).
-  ChargeEngine engine = ChargeEngine::kBusyUntil;
+  /// Unused: every fabric runs on the event engine. Kept only so callers
+  /// that still set it keep compiling.
+  ChargeEngine engine = ChargeEngine::kEventOrdered;
   /// Fat-tree only: workers per rack.
   int rack_size = 4;
   /// Fat-tree only: trunk beta multiplier (> 1 = under-provisioned rack
@@ -68,13 +67,12 @@ struct TopologySpec {
   /// Parses "flat", "star", "ring", "fattree",
   /// "fattree:<rack_size>x<oversub>[x<cores>]" (e.g. "fattree:4x8" or the
   /// ECMP'd "fattree:4x8x2"), or "torus:<width>x<height>" (e.g.
-  /// "torus:4x2"). Any form takes an optional "+event" / "+busy" suffix
-  /// selecting the charge engine (e.g. "fattree:4x8x2+event").
-  /// `num_workers` and `cost` fill the corresponding fields.
+  /// "torus:4x2"). `num_workers` and `cost` fill the corresponding
+  /// fields.
   static Result<TopologySpec> Parse(std::string_view text, int num_workers,
                                     CostModel cost = CostModel::Ethernet());
 
-  /// Validates and instantiates the fabric (with `engine` applied).
+  /// Validates and instantiates the fabric.
   Result<std::unique_ptr<Topology>> Build() const;
 
   /// One-line human description, e.g. "fattree(P=8, racks of 4, oversub

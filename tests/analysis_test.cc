@@ -54,7 +54,7 @@ void RunSparDl(Cluster& cluster, int iterations) {
 }
 
 TopologySpec ContendedFatTree() {
-  auto parsed = TopologySpec::Parse("fattree:4x8x2+event", 8);
+  auto parsed = TopologySpec::Parse("fattree:4x8x2", 8);
   EXPECT_TRUE(parsed.ok());
   return *parsed;
 }
@@ -121,17 +121,25 @@ TEST(CriticalPathTest, IdentityOnContendedFatTreeEvent) {
             0.0);
 }
 
-TEST(CriticalPathTest, BusyUntilEngineStillClosesTheChain) {
-  TopologySpec spec = ContendedFatTree();
-  spec.engine = ChargeEngine::kBusyUntil;
-  Cluster cluster(spec);
-  cluster.EnableTracing();
-  RunSparDl(cluster, /*iterations=*/1);
-  const CriticalPathReport report = ExtractCriticalPath(cluster);
-  CheckIdentity(cluster, report);
-  // No per-hop records on this engine: network waits stay opaque.
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kLinkQueue)],
-            0.0);
+// Both receive arms — flat's closed form and the fat-tree's resolved
+// flows — yield the same chain on the fiber backend as on threads: the
+// analysis artifact is byte-identical and the identity holds on each.
+TEST(CriticalPathTest, ChainIdenticalOnBothBackends) {
+  for (const TopologySpec& spec : {TopologySpec::Flat(8), ContendedFatTree()}) {
+    std::string json[2];
+    for (const ExecBackend backend :
+         {ExecBackend::kThread, ExecBackend::kFiber}) {
+      Cluster cluster(spec);
+      cluster.set_exec_backend(backend);
+      cluster.EnableTracing();
+      RunSparDl(cluster, /*iterations=*/1);
+      const CriticalPathReport report = ExtractCriticalPath(cluster);
+      CheckIdentity(cluster, report);
+      json[backend == ExecBackend::kFiber ? 1 : 0] =
+          AnalysisJson(report, EstimateWhatIfs(report, cluster));
+    }
+    EXPECT_EQ(json[0], json[1]) << spec.Describe();
+  }
 }
 
 TEST(CriticalPathTest, NoTracingYieldsEmptyNonOkReport) {

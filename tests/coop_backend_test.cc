@@ -17,9 +17,11 @@
 #include "baselines/registry.h"
 #include "common/logging.h"
 #include "des/coop_scheduler.h"
+#include "des/event_engine.h"
 #include "dl/grad_profile.h"
 #include "simnet/cluster.h"
 #include "sparse/sparse_vector.h"
+#include "topo/topologies.h"
 #include "topo/topology_spec.h"
 
 // TSan has no ucontext support, so the cluster compiles the fiber branch
@@ -73,18 +75,24 @@ struct RunOutcome {
   uint64_t messages_received = 0;
 };
 
-/// One measured run of a log-round method on an oversubscribed fat-tree
-/// (racks of 8, oversub 4.0, 2 ECMP cores — the repo's standard contended
-/// fabric) under the chosen backend and engine.
-RunOutcome ContendedRun(ExecBackend backend, ChargeEngine engine,
-                        const std::string& algo, int p, size_t n, size_t k,
-                        int iterations) {
-  TopologySpec spec = TopologySpec::FatTree(p, /*rack_size=*/8,
-                                            /*oversubscription=*/4.0,
-                                            CostModel::Ethernet(),
-                                            /*num_cores=*/2);
-  spec.engine = engine;
-  Cluster cluster(spec);
+/// The two receive arms of the event engine: flat's closed-form charge
+/// (flow key 0, no link state) and flows resolved through link servers
+/// on an oversubscribed fat-tree (racks of 8, oversub 4.0, 2 ECMP cores
+/// — the repo's standard contended fabric).
+enum class Fabric { kFlat, kContended };
+
+TopologySpec FabricSpec(Fabric fabric, int p) {
+  if (fabric == Fabric::kFlat) return TopologySpec::Flat(p);
+  return TopologySpec::FatTree(p, /*rack_size=*/8, /*oversubscription=*/4.0,
+                               CostModel::Ethernet(), /*num_cores=*/2);
+}
+
+/// One measured run of a log-round method on `fabric` under the chosen
+/// backend.
+RunOutcome MeasuredRun(ExecBackend backend, Fabric fabric,
+                       const std::string& algo, int p, size_t n, size_t k,
+                       int iterations) {
+  Cluster cluster(FabricSpec(fabric, p));
   cluster.set_exec_backend(backend);
 
   AlgorithmConfig config;
@@ -142,8 +150,8 @@ TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
   RunOutcome first;
   for (int run = 0; run < 5; ++run) {
     RunOutcome outcome =
-        ContendedRun(ExecBackend::kFiber, ChargeEngine::kEventOrdered,
-                     "gtopk", kWorkers, kN, kK, /*iterations=*/1);
+        MeasuredRun(ExecBackend::kFiber, Fabric::kContended, "gtopk",
+                    kWorkers, kN, kK, /*iterations=*/1);
     ASSERT_EQ(outcome.outputs.size(), 1u);
     EXPECT_GT(outcome.outputs[0].size(), 0u);
     if (run == 0) {
@@ -161,58 +169,31 @@ TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
   }
 }
 
-/// Thread-vs-fiber equivalence on both charging engines: same workload,
-/// same fabric, exact equality of every worker's reduced gradients. The
-/// *clocks* are additionally compared on the event engine only — the
-/// busy-until engine reserves contended link windows in execution order,
-/// which real threads scramble run-to-run (measured: the thread
-/// backend's own busy-engine makespan varies across invocations), so
-/// only the event-ordered engine pins timing across backends.
-class BackendEquivalenceTest
-    : public ::testing::TestWithParam<ChargeEngine> {};
+/// Thread-vs-fiber equivalence on both receive arms: same workload, same
+/// fabric, exact equality of every worker's reduced gradients and final
+/// clock.
+class BackendEquivalenceTest : public ::testing::TestWithParam<Fabric> {};
 
 TEST_P(BackendEquivalenceTest, FiberMatchesThreadExactly) {
   constexpr int kWorkers = 16;
   constexpr size_t kN = 20'000;
   constexpr size_t kK = 200;
   const RunOutcome threads =
-      ContendedRun(ExecBackend::kThread, GetParam(), "spardl", kWorkers,
-                   kN, kK, /*iterations=*/2);
+      MeasuredRun(ExecBackend::kThread, GetParam(), "spardl", kWorkers, kN,
+                  kK, /*iterations=*/2);
   const RunOutcome fibers =
-      ContendedRun(ExecBackend::kFiber, GetParam(), "spardl", kWorkers,
-                   kN, kK, /*iterations=*/2);
+      MeasuredRun(ExecBackend::kFiber, GetParam(), "spardl", kWorkers, kN,
+                  kK, /*iterations=*/2);
   EXPECT_EQ(fibers.all_workers_hash, threads.all_workers_hash);
   ASSERT_EQ(fibers.outputs.size(), threads.outputs.size());
   for (size_t i = 0; i < fibers.outputs.size(); ++i) {
     EXPECT_EQ(fibers.outputs[i], threads.outputs[i]) << "iteration " << i;
   }
-  if (GetParam() == ChargeEngine::kEventOrdered) {
-    ASSERT_EQ(fibers.clocks.size(), threads.clocks.size());
-    for (int r = 0; r < kWorkers; ++r) {
-      EXPECT_EQ(fibers.clocks[static_cast<size_t>(r)],
-                threads.clocks[static_cast<size_t>(r)])
-          << "worker " << r;
-    }
-  }
-}
-
-// Where the thread backend's busy-until timing wobbles with the OS
-// schedule, the cooperative backend's rank-ordered schedule makes even
-// the busy engine's contended clocks reproducible run-to-run.
-TEST(CoopBackendTest, BusyEngineClocksReproducibleOnFibers) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
-  const RunOutcome first =
-      ContendedRun(ExecBackend::kFiber, ChargeEngine::kBusyUntil, "spardl",
-                   /*p=*/16, /*n=*/20'000, /*k=*/200, /*iterations=*/2);
-  const RunOutcome second =
-      ContendedRun(ExecBackend::kFiber, ChargeEngine::kBusyUntil, "spardl",
-                   /*p=*/16, /*n=*/20'000, /*k=*/200, /*iterations=*/2);
-  EXPECT_EQ(first.all_workers_hash, second.all_workers_hash);
-  ASSERT_EQ(first.clocks.size(), second.clocks.size());
-  for (size_t r = 0; r < first.clocks.size(); ++r) {
-    EXPECT_EQ(first.clocks[r], second.clocks[r]) << "worker " << r;
+  ASSERT_EQ(fibers.clocks.size(), threads.clocks.size());
+  for (int r = 0; r < kWorkers; ++r) {
+    EXPECT_EQ(fibers.clocks[static_cast<size_t>(r)],
+              threads.clocks[static_cast<size_t>(r)])
+        << "worker " << r;
   }
 }
 
@@ -226,8 +207,8 @@ TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
   }
   const auto evals_per_message = [](int p) {
     const RunOutcome outcome =
-        ContendedRun(ExecBackend::kFiber, ChargeEngine::kEventOrdered,
-                     "spardl", p, /*n=*/100'000, /*k=*/100, /*iterations=*/1);
+        MeasuredRun(ExecBackend::kFiber, Fabric::kContended, "spardl", p,
+                    /*n=*/100'000, /*k=*/100, /*iterations=*/1);
     EXPECT_GT(outcome.messages_received, 0u);
     EXPECT_GE(outcome.scheduler.resumes, static_cast<uint64_t>(p));
     EXPECT_GT(outcome.scheduler.wakeups, 0u);
@@ -242,11 +223,14 @@ TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
       << " at P=1024";
 }
 
+// The instantiation and parameter names predate the single engine and are
+// kept so the test ids stay stable: "Busy" is the flat arm, "Event" the
+// contended one.
 INSTANTIATE_TEST_SUITE_P(Engines, BackendEquivalenceTest,
-                         ::testing::Values(ChargeEngine::kBusyUntil,
-                                           ChargeEngine::kEventOrdered),
+                         ::testing::Values(Fabric::kFlat,
+                                           Fabric::kContended),
                          [](const auto& param_info) {
-                           return param_info.param == ChargeEngine::kEventOrdered
+                           return param_info.param == Fabric::kContended
                                       ? "Event"
                                       : "Busy";
                          });
@@ -295,7 +279,7 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  auto spec = TopologySpec::Parse("fattree:2x2+event", 2);
+  auto spec = TopologySpec::Parse("fattree:2x2", 2);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_DEATH(
       {
@@ -309,9 +293,9 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
       "collective deadlock");
 }
 
-// The busy-until engine's cross-mailbox wait has its own cooperative
-// branch; it must reach the same diagnosis.
-TEST(CoopBackendDeathTest, DeadlockDiagnosedOnBusyEngine) {
+// The closed-form arm (flat: no flows, nothing to pump) must reach the
+// same diagnosis.
+TEST(CoopBackendDeathTest, DeadlockDiagnosedOnClosedFormFabric) {
   if (!FiberBackendAvailable()) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }
@@ -327,15 +311,35 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedOnBusyEngine) {
       "collective deadlock");
 }
 
+// On threads a deadlock is caught by the engine's wall-clock watchdog,
+// whichever receive arm the stuck workers wait in.
+TEST(ThreadBackendDeathTest, DeadlockTimesOutOnBothFabrics) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  for (const Fabric fabric : {Fabric::kFlat, Fabric::kContended}) {
+    EXPECT_DEATH(
+        {
+          Cluster cluster(FabricSpec(fabric, 2));
+          cluster.set_exec_backend(ExecBackend::kThread);
+          cluster.network().set_recv_timeout_seconds(0.2);
+          (void)cluster.Run([](Comm& comm) {
+            (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
+          });
+        },
+        "Recv dst=. src=. tag=0 timed out");
+  }
+}
+
 // The notify contract, exercised on the scheduler directly: a waiter is
 // re-checked only after a `Notify` naming it.
 TEST(CoopSchedulerTest, NotifiedWaiterWakes) {
   if (!FiberBackendAvailable()) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }
+  const FlatTopology flat(2, CostModel::Free());
+  EventEngine engine(flat);
   CoopScheduler scheduler;
   bool flag = false;
-  scheduler.Run(2, /*engine=*/nullptr, [&](int rank) {
+  scheduler.Run(2, engine, [&](int rank) {
     if (rank == 0) {
       scheduler.Wait([&] { return flag; },
                      [] { return std::string("waiting on flag"); });
@@ -359,9 +363,11 @@ TEST(CoopBackendDeathTest, MissedNotifyIsDiagnosedAsLostWakeup) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
+        const FlatTopology flat(2, CostModel::Free());
+        EventEngine engine(flat);
         CoopScheduler scheduler;
         bool flag = false;
-        scheduler.Run(2, /*engine=*/nullptr, [&](int rank) {
+        scheduler.Run(2, engine, [&](int rank) {
           if (rank == 0) {
             scheduler.Wait([&] { return flag; },
                            [] { return std::string("waiting on flag"); });

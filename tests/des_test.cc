@@ -1,11 +1,12 @@
 // The simnet v3 event-ordered engine (src/des): LinkServer fairness and
-// deterministic tie-breaking, exact equivalence with the busy-until
-// engine on uncontended paths, bit-for-bit flat/legacy equality under
-// both engines, and the headline regression — run-to-run determinism of
-// contended fat-tree times, which the busy-until engine cannot promise.
+// deterministic tie-breaking, exact agreement with the analytic
+// cut-through charge on uncontended paths, bit-for-bit closed-form flat
+// charging, and the headline regression — run-to-run determinism of
+// contended fat-tree times.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -18,11 +19,6 @@
 
 namespace spardl {
 namespace {
-
-TopologySpec WithEngine(TopologySpec spec, ChargeEngine engine) {
-  spec.engine = engine;
-  return spec;
-}
 
 TEST(EventQueueTest, OrdersByTimeThenKey) {
   EventQueue queue;
@@ -65,8 +61,7 @@ TEST(LinkServerFairnessTest, SameTimeFlowsSerializeInSendOrder) {
   const CostModel cm{1e-3, 1e-6};
   const size_t words = 10'000;
   const double serialize = cm.beta * static_cast<double>(words);
-  Cluster cluster(
-      WithEngine(TopologySpec::Star(3, cm), ChargeEngine::kEventOrdered));
+  Cluster cluster(TopologySpec::Star(3, cm));
   cluster.Run([&](Comm& comm) {
     if (comm.rank() == 0) {
       comm.Send(1, Payload(std::vector<float>(words, 1.0f)));
@@ -88,8 +83,8 @@ TEST(LinkServerFairnessTest, SameTimeFlowsSerializeInSendOrder) {
 }
 
 // The flow with the earlier logical send time gets a shared link first
-// even when its receiver charges *second* in wall-clock order — exactly
-// what the busy-until engine cannot guarantee. Driving the Comm endpoints
+// even when its receiver charges *second* in wall-clock order. Driving
+// the Comm endpoints
 // from one thread makes the charge order fully ours: two cross-rack flows
 // share the rack-0 trunk (and the rack-1 return trunk); the later-sent
 // flow's receiver consumes first.
@@ -98,9 +93,7 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   const size_t words = 10'000;
   const double s_trunk = 4.0 * cm.beta * static_cast<double>(words);
   const TopologySpec spec =
-      WithEngine(TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0,
-                                       cm),
-                 ChargeEngine::kEventOrdered);
+      TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0, cm);
   auto built = spec.Build();
   ASSERT_TRUE(built.ok());
   Network network(std::move(*built));
@@ -116,8 +109,8 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   late_sender.Send(3, Payload(std::vector<float>(words, 1.0f)));
 
   // Consume the *later* flow first. Were link order decided by charge
-  // order (busy-until), B would win the trunk; the event engine must give
-  // it to A, which was injected first.
+  // order, B would win the trunk; the event engine must give it to A,
+  // which was injected first.
   late_receiver.RecvAs<std::vector<float>>(1);
   early_receiver.RecvAs<std::vector<float>>(0);
 
@@ -130,96 +123,105 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   EXPECT_DOUBLE_EQ(late_receiver.sim_now(), 2.5 * cm.alpha + 2.0 * s_trunk);
 }
 
-// Uncontended permutation traffic (each worker sends to exactly one
-// distinct peer, so no two flows share any link on a star) must charge
-// bit-identically under both engines.
-TEST(EngineEquivalenceTest, UncontendedPathsMatchBusyUntilExactly) {
-  const CostModel cm{1e-3, 1e-6};
-  const int p = 6;
-  std::vector<std::vector<double>> per_rank(2);
-  int slot = 0;
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    for (TopologySpec spec :
-         {TopologySpec::Star(p, cm),
-          TopologySpec::FatTree(p, /*rack_size=*/3, /*oversub=*/4.0, cm)}) {
-      spec.engine = engine;
-      Cluster cluster(spec);
-      for (int round = 0; round < 3; ++round) {
-        cluster.Run([&](Comm& comm) {
-          // Neighbour permutation r -> r+1: on the star every flow has a
-          // private uplink/downlink; on the 2-rack fat tree the two
-          // cross-rack flows (2->3 and 5->0) use opposite trunk pairs —
-          // no link is shared, so the engines must agree bit-for-bit.
-          const int dst = (comm.rank() + 1) % p;
-          const int src = (comm.rank() + p - 1) % p;
-          comm.Compute(1e-4 * static_cast<double>(comm.rank() + round));
-          comm.Send(dst, Payload(std::vector<float>(
-                             100 + 10 * static_cast<size_t>(comm.rank()) +
-                                 50 * static_cast<size_t>(round),
-                             1.0f)));
-          comm.RecvAs<std::vector<float>>(src);
-        });
-      }
-      for (int r = 0; r < p; ++r) {
-        per_rank[static_cast<size_t>(slot)].push_back(
-            cluster.comm(r).sim_now());
-      }
-    }
-    ++slot;
-  }
-  ASSERT_EQ(per_rank[0].size(), per_rank[1].size());
-  for (size_t i = 0; i < per_rank[0].size(); ++i) {
-    EXPECT_EQ(per_rank[0][i], per_rank[1][i]) << "entry " << i;
+/// Runs `rounds` rounds of the neighbour permutation r -> r+1 (each
+/// worker sends one message and receives one, after staggered compute;
+/// odd ranks also compute past the message's arrival before receiving)
+/// on `spec`, with worker 2 slowed down by 1.5x, and checks every
+/// delivery time exactly against `oracle(topology, src, dst, words,
+/// sent_at, receiver_now)`. Rounds end in a clock sync, so no flow finds
+/// a link still busy with the previous round's traffic.
+template <typename Oracle>
+void ExpectPermutationMatchesOracle(const TopologySpec& spec, int rounds,
+                                    const Oracle& oracle) {
+  const int p = spec.num_workers;
+  Cluster cluster(spec);
+  cluster.network().SetWorkerSlowdown(2, 1.5);
+  std::vector<double> sent_at(static_cast<size_t>(p));
+  for (int round = 0; round < rounds; ++round) {
+    cluster.Run([&](Comm& comm) {
+      const int dst = (comm.rank() + 1) % p;
+      const int src = (comm.rank() + p - 1) % p;
+      comm.Compute(1e-4 * static_cast<double>(comm.rank() + round));
+      const size_t words = 100 + 10 * static_cast<size_t>(comm.rank()) +
+                           50 * static_cast<size_t>(round);
+      sent_at[static_cast<size_t>(comm.rank())] = comm.sim_now();
+      comm.Send(dst, Payload(std::vector<float>(words, 1.0f)));
+      if (comm.rank() % 2 == 1) comm.Compute(5e-3);
+      const double receiver_now = comm.sim_now();
+      const size_t src_words = 100 + 10 * static_cast<size_t>(src) +
+                               50 * static_cast<size_t>(round);
+      comm.RecvAs<std::vector<float>>(src);
+      // The sender's slot was written before its Post, which the
+      // receive synchronizes with.
+      EXPECT_EQ(comm.sim_now(),
+                oracle(cluster.topology(), src, comm.rank(), src_words,
+                       sent_at[static_cast<size_t>(src)], receiver_now))
+          << spec.Describe() << " round " << round << " worker "
+          << comm.rank();
+      comm.BarrierSyncClocks();
+    });
   }
 }
 
-// FlatTopology keeps its closed-form legacy charge under both engine
-// selections — requesting the event engine on flat must not change a
-// single bit of a full SparDL run.
-TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
-  const int p = 8;
-  const size_t n = 4000;
-  AlgorithmConfig config;
-  config.n = n;
-  config.k = 400;
-  config.num_workers = p;
-  config.num_teams = 2;
-
-  std::vector<double> makespans;
-  int slot = 0;
-  std::vector<double> per_rank[2];
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    Cluster cluster(
-        WithEngine(TopologySpec::Flat(p, CostModel::Ethernet()), engine));
-    EXPECT_FALSE(cluster.network().event_ordered())
-        << "flat is closed-form; the event engine must be skipped";
-    std::vector<std::unique_ptr<SparseAllReduce>> algos(
-        static_cast<size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      algos[static_cast<size_t>(r)] =
-          std::move(*CreateAlgorithm("spardl", config));
+// Uncontended permutation traffic (each worker sends to exactly one
+// distinct peer, and no two flows share a link) must charge exactly what
+// the retired busy-until engine charged on such routes, which is the
+// analytic cut-through sum: the header pays every hop's (NodeScale'd)
+// alpha in order, the body one bottleneck serialization, and traversal
+// overlaps the receiver's compute.
+TEST(EngineEquivalenceTest, UncontendedPathsMatchBusyUntilExactly) {
+  const CostModel cm{1e-3, 1e-6};
+  const auto uncontended = [](const Topology& topology, int src, int dst,
+                              size_t words, double sent_at,
+                              double receiver_now) {
+    std::vector<LinkId> path;
+    topology.Route(src, dst, &path);
+    double head = sent_at;
+    double bottleneck = 0.0;
+    for (const LinkId id : path) {
+      const LinkInfo link = topology.link_info(id);  // NodeScale folded in
+      head += link.alpha;
+      bottleneck =
+          std::max(bottleneck, link.beta * static_cast<double>(words));
     }
-    for (int iter = 0; iter < 3; ++iter) {
-      cluster.Run([&](Comm& comm) {
-        std::vector<float> grad = testing::RandomGradient(
-            n, 23 + static_cast<uint64_t>(comm.rank()) +
-                   1000 * static_cast<uint64_t>(iter));
-        algos[static_cast<size_t>(comm.rank())]->Run(comm, grad);
-      });
-    }
-    makespans.push_back(cluster.MaxSimSeconds());
-    for (int r = 0; r < p; ++r) {
-      per_rank[slot].push_back(cluster.comm(r).sim_now());
-    }
-    ++slot;
+    return std::max(receiver_now, head + bottleneck);
+  };
+  // r -> r+1 is link-disjoint on each: private star up/downlinks; on the
+  // 2-rack fat tree the cross-rack flows 2->3 and 5->0 use opposite trunk
+  // pairs; one ring segment per flow; on the 3x2 torus the two
+  // row-wrapping flows take distinct column cables.
+  for (const TopologySpec& spec :
+       {TopologySpec::Star(6, cm),
+        TopologySpec::FatTree(6, /*rack_size=*/3, /*oversub=*/4.0, cm),
+        TopologySpec::Ring(6, cm), TopologySpec::Torus(3, 2, cm)}) {
+    ExpectPermutationMatchesOracle(spec, /*rounds=*/3, uncontended);
   }
-  EXPECT_EQ(makespans[0], makespans[1]);  // exact, not EXPECT_DOUBLE_EQ
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(per_rank[0][static_cast<size_t>(r)],
-              per_rank[1][static_cast<size_t>(r)])
-        << "rank " << r;
+}
+
+// Flat runs through the same engine as every other fabric, but injects
+// no flows: each delivery is the paper's closed form, bit for bit —
+// `max(sent_at, receiver_now) + (alpha + beta*words) * NodeScale(dst)`,
+// including the straggler's scaled ingress — and no link state is
+// touched.
+TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
+  const CostModel cm = CostModel::Ethernet();
+  const TopologySpec spec = TopologySpec::Flat(6, cm);
+  ExpectPermutationMatchesOracle(
+      spec, /*rounds=*/3,
+      [&cm](const Topology& topology, int src, int dst, size_t words,
+            double sent_at, double receiver_now) {
+        (void)src;
+        const double ready = sent_at > receiver_now ? sent_at : receiver_now;
+        return ready + cm.MessageSeconds(words) * topology.NodeScale(dst);
+      });
+
+  Cluster cluster(spec);
+  cluster.Run([](Comm& comm) {
+    comm.Send((comm.rank() + 1) % comm.size(), Payload(int64_t{1}));
+    comm.RecvAs<int64_t>((comm.rank() + comm.size() - 1) % comm.size());
+  });
+  for (LinkId id = 0; id < cluster.topology().num_links(); ++id) {
+    EXPECT_EQ(cluster.network().link_usage(id).messages, 0u) << id;
   }
 }
 
@@ -227,10 +229,9 @@ TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
 // worker's final clock plus the makespan.
 std::vector<double> ContendedFatTreeRun(int iterations) {
   const int p = 16;
-  auto parsed = TopologySpec::Parse("fattree:4x8x2+event", p);
+  auto parsed = TopologySpec::Parse("fattree:4x8x2", p);
   SPARDL_CHECK(parsed.ok());
   Cluster cluster(*parsed);
-  EXPECT_TRUE(cluster.network().event_ordered());
 
   AlgorithmConfig config;
   config.n = 6000;
@@ -245,8 +246,8 @@ std::vector<double> ContendedFatTreeRun(int iterations) {
   }
   for (int iter = 0; iter < iterations; ++iter) {
     cluster.Run([&](Comm& comm) {
-      // Per-rank staggered compute widens the wall-clock charge-order
-      // races the busy-until engine is sensitive to.
+      // Per-rank staggered compute widens the thread-interleaving races
+      // a charge-order-dependent engine would be sensitive to.
       comm.Compute(1e-5 * static_cast<double>(comm.rank() % 5));
       std::vector<float> grad = testing::RandomGradient(
           6000, 31 + static_cast<uint64_t>(comm.rank()) +
@@ -290,7 +291,7 @@ TEST(EventOrderedDeterminismTest, ContendedFatTreeTimesAreBitIdentical) {
 // structure of every bench).
 TEST(EventOrderedDeterminismTest, SurvivesClockReset) {
   auto one = [] {
-    auto parsed = TopologySpec::Parse("star+event", 4, CostModel{1e-3, 1e-6});
+    auto parsed = TopologySpec::Parse("star", 4, CostModel{1e-3, 1e-6});
     SPARDL_CHECK(parsed.ok());
     Cluster cluster(*parsed);
     for (int phase = 0; phase < 2; ++phase) {
@@ -315,7 +316,7 @@ TEST(EventOrderedDeterminismTest, SurvivesClockReset) {
 // The engine's blocking protocol must also handle tag-based out-of-order
 // consumption and barriers without deadlock or misordering.
 TEST(EventEngineProtocolTest, TagsBarriersAndClockSyncWork) {
-  auto parsed = TopologySpec::Parse("ring+event", 4, CostModel{1e-3, 1e-6});
+  auto parsed = TopologySpec::Parse("ring", 4, CostModel{1e-3, 1e-6});
   ASSERT_TRUE(parsed.ok());
   Cluster cluster(*parsed);
   cluster.Run([](Comm& comm) {
@@ -344,8 +345,7 @@ TEST(EventEngineProtocolTest, AlgorithmsConsistentUnderEventEngine) {
   config.n = n;
   config.k = 60;
   config.num_workers = p;
-  for (const char* topo : {"star+event", "fattree:3x4x2+event",
-                           "torus:3x2+event"}) {
+  for (const char* topo : {"star", "fattree:3x4x2", "torus:3x2"}) {
     auto parsed = TopologySpec::Parse(topo, p);
     ASSERT_TRUE(parsed.ok()) << topo;
     for (const char* algo : {"spardl", "topka", "gtopk"}) {

@@ -1,5 +1,6 @@
 // Bit-reproducibility: two runs of the same configuration on fresh
-// clusters must produce byte-identical global gradients for every method.
+// clusters must produce byte-identical global gradients for every method,
+// and bit-identical simulated clocks on every default contended fabric.
 // This is what makes the repo's experiments and regressions trustworthy.
 
 #include <gtest/gtest.h>
@@ -9,45 +10,80 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "common/logging.h"
 #include "dl/grad_profile.h"
 #include "obs/exporters.h"
+#include "simnet/cluster.h"
 #include "test_util.h"
 #include "topo/topology_spec.h"
 
 namespace spardl {
 namespace {
 
-std::vector<SparseVector> OneRun(const std::string& name, int p, size_t n,
-                                 size_t k, int iterations) {
+struct SweepRun {
+  std::vector<SparseVector> outputs;  // worker 0's, one per iteration
+  std::vector<double> clocks;         // every worker's final clock
+};
+
+// A sweep input is a method name, optionally followed by "@<topology
+// spec>". Bare methods run at P = 4 on a free flat crossbar (pinning the
+// replicas' math). Fabric inputs run at P = 8 with Ethernet costs on the
+// thread backend, with every spec field left at its default, so equal
+// clocks across runs pin the charge engine's determinism under real
+// thread interleavings.
+SweepRun OneRun(const std::string& input) {
+  const size_t at = input.find('@');
+  const bool on_fabric = at != std::string::npos;
+  const std::string name = input.substr(0, at);
+  const int p = on_fabric ? 8 : 4;
+  const size_t n = 400;
   AlgorithmConfig config;
   config.n = n;
-  config.k = k;
+  config.k = 40;
   config.num_workers = p;
   if (name == "spardl") config.num_teams = 2;
-  std::vector<std::vector<SparseVector>> outputs;
-  testing::RunAlgorithm(
-      p, n, iterations,
-      [&](int) { return std::move(*CreateAlgorithm(name, config)); },
-      nullptr, &outputs, /*seed_base=*/777);
-  std::vector<SparseVector> flattened;
-  for (const auto& iter_outputs : outputs) {
-    flattened.push_back(iter_outputs[0]);
+  TopologySpec spec = TopologySpec::Flat(p, CostModel::Free());
+  if (on_fabric) {
+    auto parsed = TopologySpec::Parse(input.substr(at + 1), p);
+    SPARDL_CHECK(parsed.ok()) << parsed.status().ToString();
+    spec = *parsed;
   }
-  return flattened;
+  Cluster cluster(spec);
+  if (on_fabric) cluster.set_exec_backend(ExecBackend::kThread);
+  std::vector<std::unique_ptr<SparseAllReduce>> algos(
+      static_cast<size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    algos[static_cast<size_t>(r)] = std::move(*CreateAlgorithm(name, config));
+  }
+  SweepRun run;
+  std::vector<SparseVector> outputs(static_cast<size_t>(p));
+  for (int iter = 0; iter < 3; ++iter) {
+    cluster.Run([&](Comm& comm) {
+      const auto rank = static_cast<size_t>(comm.rank());
+      std::vector<float> grad = testing::RandomGradient(
+          n, 777 + static_cast<uint64_t>(iter) * 1000 + rank);
+      outputs[rank] = algos[rank]->Run(comm, grad);
+    });
+    run.outputs.push_back(outputs[0]);
+  }
+  for (int r = 0; r < p; ++r) run.clocks.push_back(cluster.comm(r).sim_now());
+  return run;
 }
 
 class DeterminismSweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DeterminismSweep, IdenticalAcrossRuns) {
-  const std::string name = GetParam();
-  const int p = 4;
-  const size_t n = 400;
-  const size_t k = 40;
-  const auto first = OneRun(name, p, n, k, 3);
-  const auto second = OneRun(name, p, n, k, 3);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], second[i]) << name << " iter " << i;
+  const std::string input = GetParam();
+  const SweepRun first = OneRun(input);
+  const SweepRun second = OneRun(input);
+  ASSERT_EQ(first.outputs.size(), second.outputs.size());
+  for (size_t i = 0; i < first.outputs.size(); ++i) {
+    EXPECT_EQ(first.outputs[i], second.outputs[i]) << input << " iter " << i;
+  }
+  ASSERT_EQ(first.clocks.size(), second.clocks.size());
+  for (size_t r = 0; r < first.clocks.size(); ++r) {
+    EXPECT_EQ(first.clocks[r], second.clocks[r])  // exact
+        << input << " worker " << r;
   }
 }
 
@@ -55,11 +91,19 @@ INSTANTIATE_TEST_SUITE_P(Methods, DeterminismSweep,
                          ::testing::Values("spardl", "topka", "topkdsa",
                                            "gtopk", "oktopk", "dense"));
 
-// One traced SparDL run on a contended oversubscribed fat-tree under the
-// event-ordered engine, exported as Chrome trace JSON.
+// The default-spec contended fabrics: fan-in (TopkA) and log-round
+// (SparDL) traffic queueing on shared links.
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, DeterminismSweep,
+    ::testing::Values("topka@star", "spardl@star", "topka@fattree:4x4",
+                      "spardl@fattree:4x4", "topka@ring", "spardl@ring",
+                      "topka@torus:4x2", "spardl@torus:4x2"));
+
+// One traced SparDL run on a contended oversubscribed fat-tree, exported
+// as Chrome trace JSON.
 std::string OneTracedRun() {
   const int p = 8;
-  auto spec = TopologySpec::Parse("fattree:4x8x2+event", p);
+  auto spec = TopologySpec::Parse("fattree:4x8x2", p);
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();
   Cluster cluster(*spec);
   cluster.EnableTracing();
@@ -86,8 +130,8 @@ std::string OneTracedRun() {
 }
 
 // The observability acceptance bar: the exported trace — including the
-// contended per-link occupancy spans — is byte-identical across runs on
-// the event-ordered engine, regardless of thread scheduling.
+// contended per-link occupancy spans — is byte-identical across runs,
+// regardless of thread scheduling.
 TEST(TraceDeterminism, ChromeTraceByteIdenticalAcrossRuns) {
   const std::string first = OneTracedRun();
   const std::string second = OneTracedRun();

@@ -42,11 +42,9 @@ OverlapRun RunMode(GradSyncMode mode) {
   options.epochs = 2;
   options.iterations_per_epoch = 8;
   options.paper_scale_network = false;
-  TopologySpec fabric =
+  options.topology =
       TopologySpec::FatTree(8, /*rack_size=*/4, /*oversubscription=*/8.0,
                             CostModel::Ethernet());
-  fabric.engine = ChargeEngine::kEventOrdered;
-  options.topology = fabric;
   options.sync_mode = mode;
 
   // RunTrainingCase CHECKs the synchronous-SGD invariant (all replicas

@@ -326,13 +326,15 @@ TEST(PlacementConsistencyTest, AllWorkersIdenticalUnderAnyPlacement) {
 // `spec`, with teams laid out by `policy`. Pure SRS — the phase whose
 // traffic the placement is supposed to keep rack-local.
 double SrsCommSeconds(const TopologySpec& spec, int num_teams,
-                      PlacementPolicy policy) {
+                      PlacementPolicy policy,
+                      ExecBackend backend = Cluster::DefaultExecBackend()) {
   const int p = spec.num_workers;
   const size_t n = 4000;
   auto planned = PlanPlacement(spec, p, num_teams, policy);
   SPARDL_CHECK(planned.ok()) << planned.status().ToString();
   const TeamPlacement placement = *planned;
   Cluster cluster(spec);
+  cluster.set_exec_backend(backend);
   cluster.Run([&](Comm& comm) {
     const std::vector<float> grad = RandomGradient(
         n, 31 + static_cast<uint64_t>(comm.rank()));
@@ -353,8 +355,9 @@ double SrsCommSeconds(const TopologySpec& spec, int num_teams,
 // Max per-worker comm seconds of two full SparDL updates (SRS + SAG +
 // intra-team all-gather) on `spec` under `policy` — the per-update metric
 // the acceptance criterion is stated in.
-double PerUpdateCommSeconds(const TopologySpec& spec, int num_teams,
-                            PlacementPolicy policy) {
+double PerUpdateCommSeconds(
+    const TopologySpec& spec, int num_teams, PlacementPolicy policy,
+    ExecBackend backend = Cluster::DefaultExecBackend()) {
   const int p = spec.num_workers;
   const size_t n = 4000;
   auto planned = PlanPlacement(spec, p, num_teams, policy);
@@ -366,6 +369,7 @@ double PerUpdateCommSeconds(const TopologySpec& spec, int num_teams,
   config.num_teams = num_teams;
   config.placement = *planned;
   Cluster cluster(spec);
+  cluster.set_exec_backend(backend);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -394,38 +398,39 @@ double PerUpdateCommSeconds(const TopologySpec& spec, int num_teams,
 // teams fit inside racks — `fattree:2x4` with d = 2 (P = 4, teams of
 // two), and the larger `fattree:4x4` with d = 2 (P = 8, teams of four) —
 // rack-local teams yield strictly lower SRS *and* per-update comm time
-// than interleaved ones, under both charge engines. (When a team is
+// than interleaved ones, on both execution engines (the thread and fiber
+// backends, which must agree exactly). (When a team is
 // forced to straddle racks, e.g. teams of four over racks of two, the
 // layouts converge: some worker crosses the trunk every SRS round no
 // matter the placement — which is exactly why the planner packs teams
 // into racks whenever team_size divides the rack size.)
 TEST(PlacementContentionTest, RackLocalBeatsInterleavedOnBothEngines) {
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    for (TopologySpec spec :
-         {TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0),
-          TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0)}) {
-      spec.engine = engine;
+  for (const TopologySpec& spec :
+       {TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0),
+        TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0)}) {
+    double rack_update[2];
+    for (const ExecBackend backend :
+         {ExecBackend::kThread, ExecBackend::kFiber}) {
+      const char* name = backend == ExecBackend::kFiber ? "fiber" : "thread";
       const double rack_srs =
-          SrsCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
+          SrsCommSeconds(spec, 2, PlacementPolicy::kRackLocal, backend);
       const double interleaved_srs =
-          SrsCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
-      EXPECT_LT(rack_srs, interleaved_srs)
-          << spec.Describe() << " engine " << ChargeEngineName(engine);
-      const double rack_update =
-          PerUpdateCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
-      const double interleaved_update =
-          PerUpdateCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
-      EXPECT_LT(rack_update, interleaved_update)
-          << spec.Describe() << " engine " << ChargeEngineName(engine);
+          SrsCommSeconds(spec, 2, PlacementPolicy::kInterleaved, backend);
+      EXPECT_LT(rack_srs, interleaved_srs) << spec.Describe() << " " << name;
+      const double update =
+          PerUpdateCommSeconds(spec, 2, PlacementPolicy::kRackLocal, backend);
+      const double interleaved_update = PerUpdateCommSeconds(
+          spec, 2, PlacementPolicy::kInterleaved, backend);
+      EXPECT_LT(update, interleaved_update) << spec.Describe() << " " << name;
+      rack_update[backend == ExecBackend::kFiber ? 1 : 0] = update;
     }
+    EXPECT_EQ(rack_update[0], rack_update[1]) << spec.Describe();
   }
 }
 
 TEST(PlacementContentionTest, EventEngineTimesBitIdenticalAcrossRuns) {
-  TopologySpec spec =
+  const TopologySpec spec =
       TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0);
-  spec.engine = ChargeEngine::kEventOrdered;
   for (PlacementPolicy policy :
        {PlacementPolicy::kRackLocal, PlacementPolicy::kInterleaved}) {
     const double srs_first = SrsCommSeconds(spec, 2, policy);

@@ -59,10 +59,8 @@ TEST(TuneTeamsTest, FatTreeTunesDifferentTeamCountThanFlat) {
       Tune(TopologySpec::Flat(8), options);
   // The event engine makes the contended fat-tree times bit-identical
   // across runs, so the argmin cannot flip on thread scheduling.
-  TopologySpec tree =
-      TopologySpec::FatTree(8, /*rack_size=*/2, /*oversub=*/6.0);
-  tree.engine = ChargeEngine::kEventOrdered;
-  const bench::TeamTuneResult fat_tree = Tune(tree, options);
+  const bench::TeamTuneResult fat_tree = Tune(
+      TopologySpec::FatTree(8, /*rack_size=*/2, /*oversub=*/6.0), options);
   ASSERT_FALSE(flat.candidates.empty());
   ASSERT_FALSE(fat_tree.candidates.empty());
   EXPECT_NE(flat.best().num_teams, fat_tree.best().num_teams)
