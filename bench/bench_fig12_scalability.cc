@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
         "Synthetic n=%zu, k/n=0.1%%; racks of 8, oversub 4.0, 2 ECMP "
         "cores. 'wall' is measured wall-clock for the whole run "
         "(warmup+measured), i.e. the execution backend's cost; 'wake "
-        "evals/msg' is the fiber scheduler's wait-predicate evaluations "
-        "per delivered message ('-' on threads), which must stay flat "
-        "as P grows.\n\n",
+        "evals/msg' is the scheduler's wait-predicate evaluations per "
+        "delivered message, which must stay flat as P grows.\n\n",
         synth.num_params);
     TablePrinter large_table(
         {"P", "method", "comm s/update", "msgs/update", "wall",
@@ -71,9 +70,7 @@ int main(int argc, char** argv) {
                             StrFormat("%.4f", r.comm_seconds),
                             StrFormat("%.0f", r.messages_per_update),
                             StrFormat("%.1fs", wall),
-                            r.wake_evals_per_message > 0.0
-                                ? StrFormat("%.2f", r.wake_evals_per_message)
-                                : std::string("-")});
+                            StrFormat("%.2f", r.wake_evals_per_message)});
       }
     }
     std::printf("%s\n", large_table.ToString().c_str());

@@ -23,7 +23,7 @@ constexpr const char* kFlagHelp =
     "--trace-out PATH, --metrics-out PATH, --metrics-csv PATH, "
     "--timeseries-out PATH, --protocol-check; env "
     "SPARDL_BENCH_WORKERS, SPARDL_BENCH_ITERATIONS, SPARDL_BENCH_TOPOLOGY, "
-    "SPARDL_BENCH_BACKEND, SPARDL_BENCH_PLACEMENT, "
+    "SPARDL_BENCH_PLACEMENT, "
     "SPARDL_BENCH_TRACE_OUT, "
     "SPARDL_BENCH_METRICS_OUT, SPARDL_BENCH_METRICS_CSV, "
     "SPARDL_BENCH_TIMESERIES_OUT, SPARDL_BENCH_PROTOCOL_CHECK)";
@@ -162,9 +162,6 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
   args.workers = EnvInt("SPARDL_BENCH_WORKERS");
   args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
   args.topology = EnvString("SPARDL_BENCH_TOPOLOGY");
-  if (auto backend = EnvString("SPARDL_BENCH_BACKEND")) {
-    args.backend = ParseBackendOrDie(*backend);
-  }
   if (auto placement = EnvString("SPARDL_BENCH_PLACEMENT")) {
     args.placement = ParsePlacementOrDie(*placement);
   }

@@ -29,8 +29,7 @@ namespace bench {
 ///   --timeseries-out=PATH           per-iteration time-series JSON (last run)
 ///
 /// with `SPARDL_BENCH_WORKERS` / `SPARDL_BENCH_ITERATIONS` /
-/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_BACKEND` /
-/// `SPARDL_BENCH_PLACEMENT` / `SPARDL_BENCH_TRACE_OUT` /
+/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_PLACEMENT` / `SPARDL_BENCH_TRACE_OUT` /
 /// `SPARDL_BENCH_METRICS_OUT` / `SPARDL_BENCH_METRICS_CSV` /
 /// `SPARDL_BENCH_TIMESERIES_OUT` environment variables as defaults
 /// (flag > env > the bench's built-in value), so CI can run the expensive
@@ -144,9 +143,8 @@ struct PerUpdateResult {
   /// Per-worker received words / messages per update (max over workers).
   double words_per_update = 0.0;
   double messages_per_update = 0.0;
-  /// Simulator cost, not simulated time: fiber-scheduler predicate
-  /// evaluations per delivered message over the measured iterations (0
-  /// on the thread backend).
+  /// Simulator cost, not simulated time: scheduler predicate
+  /// evaluations per delivered message over the measured iterations.
   double wake_evals_per_message = 0.0;
 
   double total_seconds() const { return comm_seconds + compute_seconds; }

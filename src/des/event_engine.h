@@ -1,12 +1,7 @@
 #ifndef SPARDL_DES_EVENT_ENGINE_H_
 #define SPARDL_DES_EVENT_ENGINE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <mutex>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -62,9 +57,6 @@ class EventQueue {
     return event;
   }
 
-  /// Simulated time of the earliest event. Undefined when empty.
-  double NextTime() const { return heap_.top().time; }
-
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -109,13 +101,13 @@ class LinkServer {
 };
 
 /// The simnet v3 deterministic discrete-event engine: the one mechanism
-/// that charges messages and blocks workers, on every fabric.
+/// that charges messages, on every fabric.
 ///
 /// A flow is injected when its *sender* posts it (link occupancy is
 /// anchored at logical send times, so no receiver-side information is
 /// needed), and per-hop transmission events are processed in
 /// `(time, flow key)` order from a global `EventQueue`, so contended
-/// times never depend on which thread happened to run first.
+/// times never depend on which worker happened to run first.
 ///
 /// Closed-form fabrics (`Topology::closed_form_charge`, i.e. flat) have
 /// no link state to order: the engine injects nothing for them, hands
@@ -123,41 +115,15 @@ class LinkServer {
 /// form at delivery. It allocates no `LinkServer`s and no per-pair
 /// sequence table there (flat has P^2 links).
 ///
-/// Conservative processing: worker threads run freely between blocking
-/// points; the queue is pumped at *quiescent cuts* — every registered
-/// worker is blocked AND no sleeping worker's wake predicate currently
-/// holds. At such a cut the injected flow set is a pure function of the
-/// SPMD program, not of thread scheduling, and any flow a blocked worker
-/// can inject after being released carries a send time no earlier than the
-/// arrival that released it, which is itself no earlier than the earliest
-/// pending event — so consuming events in `(time, key)` order is safe.
-/// Pumping pauses the moment a resolution makes some sleeper's predicate
-/// true (the released worker may inject new, earlier-keyed flows that must
-/// precede later queue entries). Which thread pumps depends on
-/// scheduling; the event order does not.
-///
-/// Safe-horizon pumping: waiting for *full* quiescence serializes
-/// contended phases behind the last runnable thread, so a blocked thread
-/// may additionally pump any event strictly earlier than the min over
-/// all workers' published clocks (`PublishClock` / `HorizonLocked`):
-/// per-worker clocks are monotone, so every future injection sorts at or
-/// after that horizon and the global `(time, key)` pump order — and with
-/// it every simulated result — is bit-identical to quiescence-only
-/// pumping; events are simply processed earlier in wall time.
-///
-/// Cooperative backend: when the calling thread runs fibers
-/// (`CoopScheduler::Current() != null`), `BlockUntil` delegates the wait
-/// to the scheduler, which pumps via the public `PumpOneLocked` hook at
-/// its own all-workers-blocked cuts and wakes each resolved flow's
-/// receiver (`FlowDst`). The quiescence/sleeper machinery
-/// below then sits idle — fibers never park in `cv_`.
+/// The engine is a pure charge engine: it never blocks, wakes or counts
+/// workers. When to pump is the `Scheduler`'s decision (it calls
+/// `PumpOneLocked` only when every live worker is blocked, so the
+/// pending flow set is a pure function of the SPMD program), and the
+/// worker a resolution releases is the flow's receiver (`FlowDst`).
 ///
 /// Locking: one engine mutex guards everything — flows, links, queue,
-/// sleeper registry, and (via `mu()`) the `Network` state that must change
-/// atomically with them (mailboxes, barrier, clock sync).
-/// All waits go through `BlockUntil`, so the last runnable thread always
-/// pumps instead of sleeping and the queue can never be starved by
-/// sleepers.
+/// and (via `mu()`) the `Network` and `Scheduler` state that must change
+/// atomically with them (mailboxes, barrier, clock sync, waiter states).
 class EventEngine {
  public:
   /// `topology` must outlive the engine; link parameters (including
@@ -172,17 +138,11 @@ class EventEngine {
   /// builds (family "simnet.engine").
   lockcheck::OrderedMutex& mu() const { return mu_; }
 
-  /// Worker-thread registration (from `Cluster::Run`): `BlockUntil` pumps
-  /// only when all registered workers are blocked. With no registrations
-  /// (single-threaded use), every blocking wait pumps immediately.
-  void WorkerEnter();
-  void WorkerExit();
-
   /// Injects a `words`-word flow from `src` to `dst` at simulated time
   /// `sent_at` and returns its deterministic key: `(src*P + dst) << 32 |
   /// per-pair sequence` (never 0: the self-pair (0, 0) cannot send). On
-  /// closed-form fabrics injects nothing, returns 0, and notifies `dst`,
-  /// whose message is deliverable at once. Caller holds `mu()`.
+  /// closed-form fabrics injects nothing and returns 0: the message is
+  /// deliverable at once. Caller holds `mu()`.
   uint64_t InjectFlowLocked(int src, int dst, size_t words, double sent_at);
 
   /// The receiver rank encoded in flow key `flow` (the key's upper half
@@ -206,42 +166,13 @@ class EventEngine {
   double TakeDeliveryLocked(uint64_t flow, int src, int dst, size_t words,
                             double sent_at, double receiver_now);
 
-  /// Blocks until `pred()` holds, pumping the event queue at quiescent
-  /// cuts. `pred` is evaluated only under `mu()` — by this thread, and by
-  /// whichever thread is deciding whether pumping may proceed — so it must
-  /// be a pure function of engine/network state guarded by `mu()`. Aborts
-  /// after `timeout_seconds` of wall time (a hung collective is always a
-  /// bug); `describe` is invoked only then, so callers can defer
-  /// diagnostic formatting off the per-message hot path. Caller holds
-  /// `mu()` via `lock`.
-  void BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
-                  const std::function<bool()>& pred, double timeout_seconds,
-                  const std::function<std::string()>& describe);
-
-  /// Wakes every blocked worker on either backend (barrier release,
-  /// clock-sync latch, interrupts). Caller holds `mu()`.
-  void NotifyAllLocked();
-
-  /// Publishes `rank`'s simulated clock for the safe-horizon pump rule
-  /// (called from `Comm` on every clock change, without `mu()`). Relaxed
-  /// atomics are sound here because per-worker clocks are *monotone
-  /// within a run*: any flow `rank` injects later carries
-  /// `sent_at >= now`, so a stale (lower) read only makes the horizon
-  /// more conservative, never wrong. `Comm::ResetClock` is the one
-  /// rewind, and it happens between runs while no worker executes.
-  void PublishClock(int rank, double now) {
-    clocks_[static_cast<size_t>(rank)].value.store(
-        now, std::memory_order_relaxed);
-  }
-
   /// True when no per-hop event is pending. Caller holds `mu()`.
   bool QueueEmptyLocked() const { return queue_.Empty(); }
 
   /// Processes the earliest event: serves one hop, schedules the next,
   /// and on the final hop records the flow's arrival. Returns the
-  /// resolved flow key, or 0 for a mid-path hop. Caller holds `mu()`.
-  /// Public for the cooperative scheduler, which pumps at its own
-  /// all-workers-blocked cuts (`CoopScheduler::PumpEngine`).
+  /// resolved flow key, or 0 for a mid-path hop. Undefined when the
+  /// queue is empty. Caller holds `mu()`.
   uint64_t PumpOneLocked();
 
   /// Clears per-link busy clocks between measured phases; CHECK-fails if
@@ -258,52 +189,21 @@ class EventEngine {
 
   /// Attaches a span recorder: every pumped hop records one `kLink`
   /// occupancy span, in the engine's deterministic `(time, flow key)`
-  /// order. Set while no worker threads run.
+  /// order. Set while no workers run.
   void set_trace_recorder(TraceRecorder* recorder);
 
  private:
-  struct Sleeper {
-    const std::function<bool()>* pred;
-  };
-
-  /// One worker's published clock, cache-line padded: every clock change
-  /// stores here, and false sharing across 4096 workers would put the
-  /// stores on the simulation's hot path.
-  struct alignas(64) PublishedClock {
-    std::atomic<double> value{0.0};
-  };
-
-  /// True when some sleeping thread's predicate already holds — it must
-  /// wake and run before any further event is processed.
-  bool AnySleeperReadyLocked() const;
-
-  /// The safe horizon: min over all workers' published clocks. Every
-  /// *future* injection carries `sent_at >=` its sender's clock, so any
-  /// pending event strictly below this min is already globally earliest
-  /// and safe to pump before full quiescence (strict `<` so an event
-  /// tied at the horizon still waits — a runnable worker could inject an
-  /// equal-time, smaller-keyed flow).
-  double HorizonLocked() const;
-
   const Topology& topology_;
   /// `topology_.closed_form_charge()`, cached: nothing to inject or pump.
   const bool closed_form_;
   mutable lockcheck::OrderedMutex mu_{"simnet.engine"};
-  /// `_any` so waits release/re-acquire through the checked mutex (the
-  /// held-lock stack stays exact across the wait).
-  std::condition_variable_any cv_;
-
-  int active_ = 0;   // registered worker threads
-  int blocked_ = 0;  // threads currently inside BlockUntil
 
   EventQueue queue_;
-  std::vector<PublishedClock> clocks_;  // by rank, written lock-free
   TraceRecorder* trace_recorder_ = nullptr;
   std::vector<LinkServer> links_;    // by LinkId; empty when closed-form
   std::vector<uint32_t> pair_seq_;   // per (src, dst); empty when closed-form
   std::unordered_map<uint64_t, Flow> flows_;       // in flight
   std::unordered_map<uint64_t, double> resolved_;  // arrival times
-  std::list<Sleeper> sleepers_;                    // threads in cv_.wait
 };
 
 }  // namespace spardl

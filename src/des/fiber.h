@@ -17,7 +17,7 @@ namespace spardl {
 size_t FiberStackBytes();
 
 /// A stackful coroutine over `ucontext`: the execution primitive of the
-/// cooperative cluster backend (see `CoopScheduler`).
+/// cooperative cluster backend (see `Scheduler`).
 ///
 /// One fiber runs `fn` on its own guard-paged stack. `Resume` switches
 /// the calling OS thread into the fiber and returns when the fiber calls

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "common/logging.h"
-#include "des/coop_scheduler.h"
 
 // TSan cannot follow ucontext stack switches (unlike ASan there is no
 // fiber annotation API for it), so fiber execution under TSan would
@@ -68,86 +66,36 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
          "mid-collective, so the simulated state is inconsistent";
   ProtocolChecker* checker = protocol_checker_.get();
   if (checker != nullptr) checker->BeginRun();
-#ifndef SPARDL_TSAN
-  if (backend_ == ExecBackend::kFiber) {
-    return RunOnFibers(worker_fn, checker);
-  }
+#ifdef SPARDL_TSAN
+  const ExecBackend backend = ExecBackend::kThread;
+#else
+  const ExecBackend backend = backend_;
 #endif
-  return RunOnThreads(worker_fn, checker);
-}
-
-Status Cluster::RunOnFibers(const std::function<void(Comm&)>& worker_fn,
-                            ProtocolChecker* checker) {
   Network* network = network_.get();
-  // No WorkerEnter/Exit: the engine's quiescence counters exist to tell
-  // pump-eligible threads apart, and here there is exactly one OS
-  // thread — the scheduler pumps at its own all-workers-blocked cuts.
-  CoopScheduler scheduler;
+  Scheduler scheduler;
+  network->set_scheduler(&scheduler);
   scheduler.Run(
-      static_cast<int>(comms_.size()), network->event_engine(),
+      backend, size(), network->event_engine(),
       [this, &worker_fn, network, checker](int rank) {
         Comm& comm = *comms_[static_cast<size_t>(rank)];
         try {
           worker_fn(comm);
           // A worker that returns while a peer still waits on it is
           // itself a divergence; the checker diagnoses the transition.
-          if (checker != nullptr) checker->OnWorkerDone(comm.rank());
+          if (checker != nullptr) checker->OnWorkerDone(rank);
         } catch (const ProtocolViolation&) {
-          // Diagnosis latched in the checker; unwind this worker.
+          // The diagnosis is latched in the checker; just unwind this
+          // worker. (Only thrown when a checker is attached.)
         }
         if (checker != nullptr && checker->failed()) {
           // Peers still waiting carry `interrupted()` in their wake
-          // predicates; this makes the scheduler release them to
-          // observe the failure and unwind.
+          // predicates; wake them to observe the failure and unwind —
+          // whoever detected first may have been this worker.
           network->InterruptWaiters();
         }
       });
+  network->set_scheduler(nullptr);
   scheduler_stats_ += scheduler.stats();
-  if (checker != nullptr && checker->failed()) {
-    poisoned_ = true;
-    return checker->status();
-  }
-  SPARDL_CHECK(network_->AllMailboxesEmpty())
-      << "worker function left unconsumed messages in the network";
-  SPARDL_CHECK(network_->SimIdle())
-      << "worker function left unresolved flows in the event engine";
-  return Status::OK();
-}
-
-Status Cluster::RunOnThreads(const std::function<void(Comm&)>& worker_fn,
-                             ProtocolChecker* checker) {
-  std::vector<std::thread> threads;
-  threads.reserve(comms_.size());
-  Network* network = network_.get();
-  // Register every worker with the event engine's quiescence detection
-  // BEFORE any thread starts: if the
-  // engine only learned about workers as their threads got scheduled, the
-  // already-started ones could look quiescent and pump contended events
-  // ahead of a not-yet-registered worker's earlier-keyed flows — exactly
-  // the startup-timing dependence the engine exists to eliminate.
-  for (size_t i = 0; i < comms_.size(); ++i) network->WorkerEnter();
-  for (auto& comm : comms_) {
-    threads.emplace_back([&worker_fn, &comm, network, checker] {
-      try {
-        worker_fn(*comm);
-        // A worker that returns while a peer still waits on it is itself
-        // a divergence; the checker diagnoses it from this transition.
-        if (checker != nullptr) checker->OnWorkerDone(comm->rank());
-      } catch (const ProtocolViolation&) {
-        // The diagnosis is latched in the checker; just unwind this
-        // worker. (Only thrown when a checker is attached.)
-      }
-      if (checker != nullptr && checker->failed()) {
-        // Wake any peers still blocked so they observe the failure and
-        // unwind too — whoever detected first may have been this thread.
-        network->InterruptWaiters();
-      }
-      // A worker that returns must deregister, or the remaining workers
-      // could never all be "blocked".
-      network->WorkerExit();
-    });
-  }
-  for (auto& t : threads) t.join();
   if (checker != nullptr && checker->failed()) {
     // Unwound mid-collective: mailboxes may hold orphaned messages and
     // the engine unresolved flows — by design. Poison instead of

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "des/coop_scheduler.h"
+#include "des/scheduler.h"
 #include "simnet/comm.h"
 #include "simnet/network.h"
 #include "simnet/protocol_check.h"
@@ -14,22 +14,10 @@
 
 namespace spardl {
 
-/// How `Cluster::Run` executes the P SPMD workers (see `Cluster`).
-enum class ExecBackend {
-  /// One OS thread per worker — the legacy backend. The only backend
-  /// ThreadSanitizer can observe (ucontext switches are invisible to
-  /// it), so TSan builds force this choice.
-  kThread,
-  /// All workers as stackful fibers cooperatively scheduled on the
-  /// calling thread (`CoopScheduler`). Deterministic interleaving, no
-  /// per-worker OS thread — the backend that scales one machine to
-  /// P = 1024–4096 workers.
-  kFiber,
-};
-
 /// Owns a simulated cluster: the network plus one `Comm` endpoint per
-/// worker, and runs SPMD worker functions on an execution backend —
-/// thread-per-worker or cooperative fibers (`ExecBackend`).
+/// worker, and runs SPMD worker functions through a `Scheduler` on an
+/// execution backend — thread-per-worker or cooperative fibers
+/// (`ExecBackend`).
 ///
 /// ```
 /// Cluster cluster(14, CostModel::Ethernet());                  // flat
@@ -98,7 +86,7 @@ class Cluster {
 
   /// Overrides this cluster's backend (constructed with the process
   /// default). Call between runs. Simulated results are identical on
-  /// both backends — see `CoopScheduler` — so this only trades wall
+  /// both backends — see `Scheduler` — so this only trades wall
   /// clock (fibers win at large P) against TSan observability.
   /// TSan builds ignore `kFiber` and keep running threads.
   void set_exec_backend(ExecBackend backend) { backend_ = backend; }
@@ -114,10 +102,10 @@ class Cluster {
   /// CHECK-fails.
   Status Run(const std::function<void(Comm&)>& worker_fn);
 
-  /// What the fiber scheduler did across the `Run`s since the last
+  /// What the scheduler did across the `Run`s since the last
   /// `ResetClocksAndStats` (resumes, predicate evaluations, wakeups,
   /// engine pumps) — the simulator's own cost, beside the simulated
-  /// one. All zero on the thread backend.
+  /// one. Counted on both backends.
   const SchedulerStats& scheduler_stats() const { return scheduler_stats_; }
 
   /// Max simulated clock across workers (the cluster's makespan).
@@ -139,14 +127,6 @@ class Cluster {
 
  private:
   explicit Cluster(std::unique_ptr<Network> network);
-
-  /// The thread-per-worker `Run` body (also the TSan fallback).
-  Status RunOnThreads(const std::function<void(Comm&)>& worker_fn,
-                      ProtocolChecker* checker);
-
-  /// The cooperative-fiber `Run` body.
-  Status RunOnFibers(const std::function<void(Comm&)>& worker_fn,
-                     ProtocolChecker* checker);
 
   std::unique_ptr<Network> network_;
   std::vector<std::unique_ptr<Comm>> comms_;

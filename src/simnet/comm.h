@@ -111,7 +111,7 @@ class Comm {
       protocol_->OnRecvMatched(rank_, src, tag, delivered.packet.words);
     }
     const double before = sim_now_;
-    SetSimNow(delivered.delivery_time);
+    sim_now_ = delivered.delivery_time;
     stats_.messages_received += 1;
     stats_.words_received += delivered.packet.words;
     stats_.comm_seconds += sim_now_ - before;
@@ -153,7 +153,7 @@ class Comm {
   void Compute(double seconds) {
     SPARDL_DCHECK(seconds >= 0.0);
     const double before = sim_now_;
-    SetSimNow(sim_now_ + seconds);
+    sim_now_ += seconds;
     stats_.compute_seconds += seconds;
     stats_.phase_seconds[static_cast<size_t>(Phase::kCompute)] += seconds;
     if (tracer_ != nullptr) {
@@ -172,7 +172,7 @@ class Comm {
   void AdvanceClockTo(double t) {
     if (t <= sim_now_) return;
     const double before = sim_now_;
-    SetSimNow(t);
+    sim_now_ = t;
     stats_.phase_seconds[static_cast<size_t>(Phase::kOverlapIdle)] +=
         sim_now_ - before;
     if (tracer_ != nullptr) {
@@ -199,7 +199,7 @@ class Comm {
       protocol_->OnBarrierEnter(rank_, /*clock_sync=*/false);
       ThrowIfProtocolFailed();
     }
-    network_->BarrierWait();
+    network_->BarrierWait(rank_);
   }
 
   /// Rendezvous and align every worker's clock to the cluster-wide max —
@@ -210,7 +210,7 @@ class Comm {
       ThrowIfProtocolFailed();
     }
     const double before = sim_now_;
-    SetSimNow(network_->MaxClockSync(rank_, sim_now_));
+    sim_now_ = network_->MaxClockSync(rank_, sim_now_);
     stats_.phase_seconds[static_cast<size_t>(Phase::kBarrier)] +=
         sim_now_ - before;
     if (tracer_ != nullptr) {
@@ -237,20 +237,10 @@ class Comm {
   }
 
   /// Test/bench hook: reset the clock (call on all ranks between runs).
-  /// Publishes the rewind too — a stale *high* published clock after a
-  /// reset would overstate the event engine's safe horizon, which is the
-  /// one direction that breaks its soundness argument.
-  void ResetClock(double value = 0.0) { SetSimNow(value); }
+  void ResetClock(double value = 0.0) { sim_now_ = value; }
 
  private:
   friend class TraceScope;
-
-  /// The one place the clock moves: keeps the engine's published copy
-  /// (safe-horizon pump rule) in lockstep with `sim_now_`.
-  void SetSimNow(double now) {
-    sim_now_ = now;
-    network_->PublishClock(rank_, now);
-  }
 
   /// Unwinds this worker once the checker has a diagnosis, waking every
   /// peer still blocked in the network so they unwind too. The exception

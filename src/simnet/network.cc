@@ -69,7 +69,29 @@ void Network::InterruptWaiters() {
   // predicate before the (already visible) failure flag flipped but has
   // not gone to sleep yet.
   std::lock_guard<lockcheck::OrderedMutex> lock(engine_.mu());
-  engine_.NotifyAllLocked();
+  NotifyAllLocked();
+}
+
+void Network::NotifyAllLocked() {
+  if (scheduler_ != nullptr) scheduler_->NotifyAll();
+}
+
+void Network::WaitLocked(int rank, Lock& lock,
+                         const std::function<bool()>& pred,
+                         const std::function<std::string()>& describe) {
+  if (scheduler_ != nullptr) {
+    scheduler_->Wait(rank, lock, pred, recv_timeout_seconds_, describe);
+    return;
+  }
+  // No run in progress: this thread is the only worker, so the engine is
+  // pumped in (time, key) order until the predicate holds.
+  while (!pred()) {
+    SPARDL_CHECK(!engine_.QueueEmptyLocked())
+        << describe()
+        << " can never complete: no scheduler is running and no event is "
+           "pending";
+    engine_.PumpOneLocked();
+  }
 }
 
 void Network::Post(int src, int dst, Packet packet) {
@@ -79,28 +101,32 @@ void Network::Post(int src, int dst, Packet packet) {
   // are fully known here, and charging from the sender side is what frees
   // the engine from receiver-thread ordering.
   std::lock_guard<lockcheck::OrderedMutex> lock(engine_.mu());
-  packet.flow =
+  const uint64_t flow =
       engine_.InjectFlowLocked(src, dst, packet.words, packet.sent_at);
+  packet.flow = flow;
   BoxForLocked(src, dst).push_back(std::move(packet));
+  // A closed-form message is deliverable at once. A flow is unresolved,
+  // so it can release nobody until the stall step resolves it (and the
+  // scheduler notifies dst then).
+  if (flow == 0 && scheduler_ != nullptr) scheduler_->Notify(dst);
 }
 
 Network::Delivered Network::RecvPacket(int src, int dst, int tag,
                                        double receiver_now) {
-  std::unique_lock<lockcheck::OrderedMutex> lock(engine_.mu());
+  Lock lock(engine_.mu());
   Mailbox& box = BoxForLocked(src, dst);
   const auto find_tag = [&box, tag] {
     auto it = box.begin();
     while (it != box.end() && it->tag != tag) ++it;
     return it;
   };
-  engine_.BlockUntil(
-      lock,
+  WaitLocked(
+      dst, lock,
       [&] {
         if (interrupted()) return true;  // monotonic, pred stays pure
         const auto it = find_tag();
         return it != box.end() && engine_.ResolvedLocked(it->flow);
       },
-      recv_timeout_seconds_,
       [&] { return StrFormat("Recv dst=%d src=%d tag=%d", dst, src, tag); });
   ThrowIfInterrupted();
   const auto it = find_tag();
@@ -112,28 +138,25 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
   return delivered;
 }
 
-void Network::BarrierWait() {
-  std::unique_lock<lockcheck::OrderedMutex> lock(engine_.mu());
+void Network::BarrierWait(int rank) {
+  Lock lock(engine_.mu());
   const uint64_t my_generation = barrier_generation_;
   if (++barrier_waiting_ == size_) {
     // Last arriver releases everyone.
     barrier_waiting_ = 0;
     ++barrier_generation_;
-    engine_.NotifyAllLocked();
+    NotifyAllLocked();
     return;
   }
-  // Barrier waiters must count as blocked for the engine's quiescence
-  // detection, so the wait routes through BlockUntil.
-  engine_.BlockUntil(
-      lock,
+  WaitLocked(
+      rank, lock,
       [&] { return barrier_generation_ != my_generation || interrupted(); },
-      recv_timeout_seconds_, [] { return std::string("BarrierWait"); });
+      [] { return std::string("BarrierWait"); });
   ThrowIfInterrupted();
 }
 
 double Network::MaxClockSync(int rank, double value) {
-  (void)rank;
-  std::unique_lock<lockcheck::OrderedMutex> lock(engine_.mu());
+  Lock lock(engine_.mu());
   const uint64_t my_generation = sync_generation_;
   if (value > sync_max_) sync_max_ = value;
   if (++sync_count_ == size_) {
@@ -142,13 +165,13 @@ double Network::MaxClockSync(int rank, double value) {
     sync_max_ = 0.0;
     sync_count_ = 0;
     ++sync_generation_;
-    engine_.NotifyAllLocked();
+    NotifyAllLocked();
     return sync_result_;
   }
-  engine_.BlockUntil(
-      lock,
+  WaitLocked(
+      rank, lock,
       [&] { return sync_generation_ != my_generation || interrupted(); },
-      recv_timeout_seconds_, [] { return std::string("MaxClockSync"); });
+      [] { return std::string("MaxClockSync"); });
   ThrowIfInterrupted();
   return sync_result_;
 }

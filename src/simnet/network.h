@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <variant>
 #include <vector>
 
 #include "des/event_engine.h"
+#include "des/scheduler.h"
 #include "simnet/cost_model.h"
 #include "sparse/sparse_vector.h"
 #include "topo/topology.h"
@@ -43,18 +47,23 @@ struct Packet {
 
 /// The in-process interconnect: one FIFO mailbox per (src, dst) pair.
 ///
-/// Thread-safe; each of the P worker threads owns one endpoint (see `Comm`).
-/// Blocking receives time out after `recv_timeout_seconds` of *wall* time
-/// and abort the process — a hung collective is always a bug, and a loud
-/// failure beats a silent deadlock in CI.
+/// Thread-safe; each of the P workers owns one endpoint (see `Comm`).
 ///
 /// Charging: the network owns one `EventEngine`, which charges every
 /// fabric. Flows are injected at `Post` time and resolved in
 /// `(time, flow key)` order; closed-form fabrics (flat) inject nothing and
-/// are charged in closed form at `Recv`. Every blocking operation
-/// (receive, barrier, clock sync) holds the engine's single mutex and
-/// waits through `EventEngine::BlockUntil`, so the last runnable thread
-/// pumps the queue.
+/// are charged in closed form at `Recv`.
+///
+/// Waiting: every blocking operation (receive, barrier, clock sync) holds
+/// the engine's single mutex and waits through the `Scheduler` running
+/// the workers (attached by `Cluster::Run` for the length of a run), which
+/// pumps the engine when every worker is blocked and aborts with a waiter
+/// dump when nothing can progress. The network keeps the scheduler's
+/// notify contract: a closed-form `Post` notifies `dst`, and a barrier
+/// release, clock-sync latch or interrupt notifies everyone. On threads
+/// each wait is also bounded by `recv_timeout_seconds` of *wall* time, a
+/// backstop that aborts the process. With no scheduler attached (a test
+/// driving endpoints from one thread) a wait pumps the engine itself.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -88,9 +97,14 @@ class Network {
   void SetWorkerSlowdown(int rank, double factor);
   double WorkerSlowdown(int rank) const { return topology_->NodeScale(rank); }
 
-  /// The event engine charging this fabric. The cooperative scheduler
-  /// pumps through it (`CoopScheduler::Run`).
+  /// The event engine charging this fabric. The scheduler pumps through
+  /// it (`Scheduler::Run`).
   EventEngine& event_engine() { return engine_; }
+
+  /// Attaches the scheduler running the workers; every blocking operation
+  /// waits through it. Call while no workers run (`Cluster::Run` attaches
+  /// its scheduler for the length of the run, then detaches it with null).
+  void set_scheduler(Scheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Attaches a span recorder to the engine (per-link occupancy spans and
   /// flow records). Call while no worker threads run; the recorder must
@@ -119,18 +133,6 @@ class Network {
   /// Packets with the same tag are delivered FIFO.
   Delivered RecvPacket(int src, int dst, int tag, double receiver_now);
 
-  /// Worker-thread registration for the engine's quiescence detection.
-  /// `Cluster::Run` enters every worker before spawning any thread —
-  /// registration must not race with pump eligibility — and each worker
-  /// exits as its function returns.
-  void WorkerEnter() { engine_.WorkerEnter(); }
-  void WorkerExit() { engine_.WorkerExit(); }
-
-  /// Publishes `rank`'s simulated clock for the engine's safe-horizon
-  /// pump rule. Called by `Comm` on every clock change, without any
-  /// network lock held.
-  void PublishClock(int rank, double now) { engine_.PublishClock(rank, now); }
-
   /// Rewinds the per-link busy clocks and usage counters between measured
   /// phases; worker clocks rewind separately.
   void ResetSimState() { engine_.Reset(); }
@@ -140,8 +142,9 @@ class Network {
   bool SimIdle() const { return engine_.Idle(); }
 
   /// Reusable rendezvous for all `size` workers (generation-counted, so
-  /// back-to-back barriers cannot mix up their waiters).
-  void BarrierWait();
+  /// back-to-back barriers cannot mix up their waiters); `rank` is the
+  /// caller.
+  void BarrierWait(int rank);
 
   /// Publishes `value` to a per-rank slot and returns the max over all
   /// ranks once everyone has published (used to align simulated clocks).
@@ -166,6 +169,19 @@ class Network {
 
  private:
   using Mailbox = std::deque<Packet>;
+  using Lock = std::unique_lock<lockcheck::OrderedMutex>;
+
+  /// Blocks worker `rank` until `pred()` holds: through the attached
+  /// scheduler, or, with none attached, by pumping the engine (CHECK-fails
+  /// when the queue drains first — nothing else could ever satisfy the
+  /// wait). `describe` names the wait in diagnostics. Caller holds the
+  /// engine mutex via `lock`.
+  void WaitLocked(int rank, Lock& lock, const std::function<bool()>& pred,
+                  const std::function<std::string()>& describe);
+
+  /// Notifies every waiter (no-op with no scheduler attached). Caller
+  /// holds the engine mutex.
+  void NotifyAllLocked();
 
   /// Throws `ProtocolViolation` when the attached checker has diagnosed a
   /// divergence (no-op otherwise). Called at every wait site.
@@ -185,6 +201,7 @@ class Network {
   /// Charges every message; its mutex also guards the mailboxes and the
   /// barrier/sync state below.
   EventEngine engine_;
+  Scheduler* scheduler_ = nullptr;
   ProtocolChecker* protocol_ = nullptr;
   int size_;
   double recv_timeout_seconds_ = 120.0;

@@ -1,23 +1,27 @@
-// Cooperative (fiber) execution backend: the scheduler must be a drop-in
-// replacement for thread-per-worker — bit-identical simulated results at
-// P >= 1024 on a contended event-engine fabric, exact equality with the
-// thread backend on the same workload, protocol diagnosis intact, and a
-// bounded deadlock diagnosis (the scheduler aborts with a waiter dump the
-// moment no fiber can run and no event can be pumped, instead of hanging
-// on parked threads).
+// The scheduler's two carriers (fibers, threads): the fiber backend must
+// be a drop-in replacement for thread-per-worker — bit-identical
+// simulated results at P >= 1024 on a contended event-engine fabric,
+// exact equality with the thread backend on the same workload, protocol
+// diagnosis intact — and both carriers share one wake model and one
+// stall diagnosis (the scheduler aborts with a waiter dump the moment no
+// worker can run and no event can be pumped, instead of waiting out a
+// wall-clock watchdog).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/registry.h"
 #include "common/logging.h"
-#include "des/coop_scheduler.h"
 #include "des/event_engine.h"
+#include "des/scheduler.h"
 #include "dl/grad_profile.h"
 #include "simnet/cluster.h"
 #include "sparse/sparse_vector.h"
@@ -45,6 +49,17 @@ bool FiberBackendAvailable() {
 #endif
 }
 
+/// The carriers a scheduler test runs on: both, or threads alone where
+/// fibers are compiled out.
+std::vector<ExecBackend> Carriers() {
+  if (!FiberBackendAvailable()) return {ExecBackend::kThread};
+  return {ExecBackend::kThread, ExecBackend::kFiber};
+}
+
+const char* CarrierName(ExecBackend backend) {
+  return backend == ExecBackend::kFiber ? "fiber" : "thread";
+}
+
 uint64_t HashCombine(uint64_t h, uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
@@ -69,8 +84,8 @@ struct RunOutcome {
   /// Hash over *all* workers' outputs — catches a replica diverging on a
   /// worker other than 0.
   uint64_t all_workers_hash = 0;
-  /// The simulator's own cost (all zero on the thread backend) and the
-  /// messages it delivered, summed over workers.
+  /// The simulator's own cost and the messages it delivered, summed over
+  /// workers.
   SchedulerStats scheduler;
   uint64_t messages_received = 0;
 };
@@ -200,14 +215,17 @@ TEST_P(BackendEquivalenceTest, FiberMatchesThreadExactly) {
 // The wake cost must not grow with P: a resolved flow re-checks only its
 // receiver, so predicate evaluations per delivered message stay flat from
 // P = 64 to P = 1024. A scheduler that rescans every waiter after each
-// resolution makes this ratio grow with P (about 16x here).
+// resolution makes this ratio grow with P (about 16x here). The thread
+// carrier shares the wake model, so its cost is bounded the same way
+// (checked at P = 64 only: one OS thread per worker), and its counters
+// are live.
 TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
   if (!FiberBackendAvailable()) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }
-  const auto evals_per_message = [](int p) {
+  const auto evals_per_message = [](ExecBackend backend, int p) {
     const RunOutcome outcome =
-        MeasuredRun(ExecBackend::kFiber, Fabric::kContended, "spardl", p,
+        MeasuredRun(backend, Fabric::kContended, "spardl", p,
                     /*n=*/100'000, /*k=*/100, /*iterations=*/1);
     EXPECT_GT(outcome.messages_received, 0u);
     EXPECT_GE(outcome.scheduler.resumes, static_cast<uint64_t>(p));
@@ -216,11 +234,15 @@ TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
     return static_cast<double>(outcome.scheduler.predicate_evals) /
            static_cast<double>(outcome.messages_received);
   };
-  const double small = evals_per_message(64);
-  const double large = evals_per_message(1024);
+  const double small = evals_per_message(ExecBackend::kFiber, 64);
+  const double large = evals_per_message(ExecBackend::kFiber, 1024);
+  const double threads = evals_per_message(ExecBackend::kThread, 64);
   EXPECT_LE(large, 2.0 * small)
       << "evals/message: " << small << " at P=64, " << large
       << " at P=1024";
+  EXPECT_LE(threads, 2.0 * small)
+      << "evals/message at P=64: " << small << " on fibers, " << threads
+      << " on threads";
 }
 
 // The instantiation and parameter names predate the single engine and are
@@ -270,113 +292,141 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendProtocolTest,
                                       : "thread";
                          });
 
-// Without the verifier, a collective deadlock on the fiber backend must
-// die *immediately* with the scheduler's waiter dump — every fiber
-// suspended, nothing pumpable — rather than waiting out a watchdog on
-// parked threads.
+// Without the verifier, a collective deadlock must die *immediately*
+// with the scheduler's waiter dump — every worker blocked, nothing
+// pumpable — on either carrier, rather than waiting out the threads'
+// wall-clock backstop (left at its default here).
 TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   auto spec = TopologySpec::Parse("fattree:2x2", 2);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_DEATH(
-      {
-        Cluster cluster(*spec);
-        cluster.set_exec_backend(ExecBackend::kFiber);
-        (void)cluster.Run([](Comm& comm) {
-          // Both workers receive, nobody sends.
-          (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
-        });
-      },
-      "collective deadlock");
+  for (const ExecBackend backend : Carriers()) {
+    SCOPED_TRACE(CarrierName(backend));
+    EXPECT_DEATH(
+        {
+          Cluster cluster(*spec);
+          cluster.set_exec_backend(backend);
+          (void)cluster.Run([](Comm& comm) {
+            // Both workers receive, nobody sends.
+            (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
+          });
+        },
+        "collective deadlock\\?\n  worker 0: Recv dst=0 src=1 tag=0");
+  }
 }
 
 // The closed-form arm (flat: no flows, nothing to pump) must reach the
 // same diagnosis.
 TEST(CoopBackendDeathTest, DeadlockDiagnosedOnClosedFormFabric) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Cluster cluster(TopologySpec::Flat(2, CostModel{1e-3, 1e-6}));
-        cluster.set_exec_backend(ExecBackend::kFiber);
-        (void)cluster.Run([](Comm& comm) {
-          (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
-        });
-      },
-      "collective deadlock");
-}
-
-// On threads a deadlock is caught by the engine's wall-clock watchdog,
-// whichever receive arm the stuck workers wait in.
-TEST(ThreadBackendDeathTest, DeadlockTimesOutOnBothFabrics) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  for (const Fabric fabric : {Fabric::kFlat, Fabric::kContended}) {
+  for (const ExecBackend backend : Carriers()) {
+    SCOPED_TRACE(CarrierName(backend));
     EXPECT_DEATH(
         {
-          Cluster cluster(FabricSpec(fabric, 2));
-          cluster.set_exec_backend(ExecBackend::kThread);
-          cluster.network().set_recv_timeout_seconds(0.2);
+          Cluster cluster(TopologySpec::Flat(2, CostModel{1e-3, 1e-6}));
+          cluster.set_exec_backend(backend);
           (void)cluster.Run([](Comm& comm) {
             (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
           });
         },
-        "Recv dst=. src=. tag=0 timed out");
+        "collective deadlock");
+  }
+}
+
+// The thread carrier's wall-clock backstop: while a peer runs without
+// ever blocking, the stall step never comes, so only the per-wait bound
+// can end the receive. Should the bound fail, the peer exits after 10 s
+// and the stall dump fires instead, which this regex rejects.
+TEST(ThreadBackendDeathTest, WaitTimesOutWhilePeerNeverBlocks) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Cluster cluster(TopologySpec::Flat(2, CostModel{1e-3, 1e-6}));
+        cluster.set_exec_backend(ExecBackend::kThread);
+        cluster.network().set_recv_timeout_seconds(0.2);
+        (void)cluster.Run([](Comm& comm) {
+          if (comm.rank() == 0) {
+            (void)comm.Recv(1, /*tag=*/0);
+          } else {
+            std::this_thread::sleep_for(std::chrono::seconds(10));
+          }
+        });
+      },
+      "Recv dst=0 src=1 tag=0 timed out after 0.2s of wall time");
+}
+
+// On threads, worker 1 must not change the flag before worker 0 waits on
+// it, or the wait would return without blocking: poll (under the engine
+// mutex, which guards the counters on threads) until worker 0 has
+// evaluated its predicate once and so is parked. On fibers worker 0 runs
+// first and the poll passes at once.
+void AwaitFirstWait(const Scheduler& scheduler, const EventEngine& engine) {
+  for (;;) {
+    {
+      std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+      if (scheduler.stats().predicate_evals > 0) return;
+    }
+    std::this_thread::yield();
   }
 }
 
 // The notify contract, exercised on the scheduler directly: a waiter is
-// re-checked only after a `Notify` naming it.
+// re-checked only after a `Notify` naming it, on either carrier.
 TEST(CoopSchedulerTest, NotifiedWaiterWakes) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  for (const ExecBackend backend : Carriers()) {
+    SCOPED_TRACE(CarrierName(backend));
+    const FlatTopology flat(2, CostModel::Free());
+    EventEngine engine(flat);
+    Scheduler scheduler;
+    bool flag = false;
+    scheduler.Run(backend, 2, engine, [&](int rank) {
+      if (rank == 0) {
+        std::unique_lock<lockcheck::OrderedMutex> lock(engine.mu());
+        scheduler.Wait(0, lock, [&] { return flag; }, /*timeout_seconds=*/60,
+                       [] { return std::string("waiting on flag"); });
+      } else {
+        AwaitFirstWait(scheduler, engine);
+        std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+        flag = true;
+        scheduler.Notify(0);
+      }
+    });
+    EXPECT_TRUE(flag);
+    EXPECT_EQ(scheduler.stats().wakeups, 1u);
+    EXPECT_EQ(scheduler.stats().resumes, 3u);
+    EXPECT_EQ(scheduler.stats().predicate_evals, 3u);
   }
-  const FlatTopology flat(2, CostModel::Free());
-  EventEngine engine(flat);
-  CoopScheduler scheduler;
-  bool flag = false;
-  scheduler.Run(2, engine, [&](int rank) {
-    if (rank == 0) {
-      scheduler.Wait([&] { return flag; },
-                     [] { return std::string("waiting on flag"); });
-    } else {
-      flag = true;
-      scheduler.Notify(0);
-    }
-  });
-  EXPECT_TRUE(flag);
-  EXPECT_EQ(scheduler.stats().wakeups, 1u);
-  EXPECT_EQ(scheduler.stats().resumes, 3u);
 }
 
 // A state change nobody notifies about must not pass for a deadlock: at
 // the stall, the scheduler finds the waiter whose predicate already holds
-// and names the missed notify.
+// and names the missed notify. On threads the stall is reached when the
+// notifier exits, leaving the waiter the only live worker.
 TEST(CoopBackendDeathTest, MissedNotifyIsDiagnosedAsLostWakeup) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        const FlatTopology flat(2, CostModel::Free());
-        EventEngine engine(flat);
-        CoopScheduler scheduler;
-        bool flag = false;
-        scheduler.Run(2, engine, [&](int rank) {
-          if (rank == 0) {
-            scheduler.Wait([&] { return flag; },
-                           [] { return std::string("waiting on flag"); });
-          } else {
-            flag = true;  // bug under test: no scheduler.Notify(0)
-          }
-        });
-      },
-      "lost wakeup: worker 0 ready but never notified");
+  for (const ExecBackend backend : Carriers()) {
+    SCOPED_TRACE(CarrierName(backend));
+    EXPECT_DEATH(
+        {
+          const FlatTopology flat(2, CostModel::Free());
+          EventEngine engine(flat);
+          Scheduler scheduler;
+          bool flag = false;
+          scheduler.Run(backend, 2, engine, [&](int rank) {
+            if (rank == 0) {
+              std::unique_lock<lockcheck::OrderedMutex> lock(engine.mu());
+              scheduler.Wait(0, lock, [&] { return flag; },
+                             /*timeout_seconds=*/60,
+                             [] { return std::string("waiting on flag"); });
+            } else {
+              AwaitFirstWait(scheduler, engine);
+              std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+              flag = true;  // bug under test: no scheduler.Notify(0)
+            }
+          });
+        },
+        "lost wakeup: worker 0 ready but never notified");
+  }
 }
 
 }  // namespace

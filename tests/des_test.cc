@@ -123,6 +123,26 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   EXPECT_DOUBLE_EQ(late_receiver.sim_now(), 2.5 * cm.alpha + 2.0 * s_trunk);
 }
 
+// Outside any run there is no scheduler to wait through: the receive
+// pumps the engine itself, and a wait nothing pending can satisfy dies at
+// once instead of hanging.
+TEST(UnscheduledWaitDeathTest, ReceiveWithNothingPendingDies) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const TopologySpec spec =
+      TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0);
+  EXPECT_DEATH(
+      {
+        auto built = spec.Build();
+        Network network(std::move(*built));
+        Comm sender(&network, 0);
+        Comm receiver(&network, 2);
+        sender.Send(2, Payload(int64_t{7}));
+        receiver.RecvAs<int64_t>(0);  // pumped to resolution: fine
+        receiver.RecvAs<int64_t>(0);  // nothing was sent
+      },
+      "Recv dst=2 src=0 tag=0 can never complete");
+}
+
 /// Runs `rounds` rounds of the neighbour permutation r -> r+1 (each
 /// worker sends one message and receives one, after staggered compute;
 /// odd ranks also compute past the message's arrival before receiving)

@@ -47,6 +47,21 @@ SPARDL_TEST_NOINLINE void* operator new(size_t size) {
 SPARDL_TEST_NOINLINE void* operator new[](size_t size) {
   return ::operator new(size);
 }
+// The nothrow forms must be malloc-backed too: library code such as
+// std::stable_sort's temporary buffer allocates through them and frees
+// through the replaced operator delete below.
+SPARDL_TEST_NOINLINE void* operator new(size_t size,
+                                        const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+SPARDL_TEST_NOINLINE void* operator new[](size_t size,
+                                          const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 SPARDL_TEST_NOINLINE void operator delete(void* ptr) noexcept {
   std::free(ptr);
 }
@@ -57,6 +72,14 @@ SPARDL_TEST_NOINLINE void operator delete[](void* ptr) noexcept {
   std::free(ptr);
 }
 SPARDL_TEST_NOINLINE void operator delete[](void* ptr, size_t) noexcept {
+  std::free(ptr);
+}
+SPARDL_TEST_NOINLINE void operator delete(void* ptr,
+                                          const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+SPARDL_TEST_NOINLINE void operator delete[](void* ptr,
+                                            const std::nothrow_t&) noexcept {
   std::free(ptr);
 }
 

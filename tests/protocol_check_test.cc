@@ -1,10 +1,10 @@
 // SPMD protocol-verifier tests: deliberately divergent worker programs
 // (mismatched tag, unequal round counts, wrong team size, mixed barrier
 // kinds) must come back from `Cluster::Run` as a diagnostic `Status`
-// naming both workers' op traces — within one barrier, never by hanging
-// until the 120 s mailbox watchdog. Each run keeps a short recv watchdog
-// anyway, so a detector regression fails the test loudly instead of
-// stalling the suite.
+// naming both workers' op traces — within one barrier, never by dying in
+// the scheduler's stall diagnosis, which shows only each worker's pending
+// wait. Each run keeps a short wall-clock wait bound anyway, so a detector
+// regression fails the test loudly instead of stalling the suite.
 
 #include "simnet/protocol_check.h"
 
