@@ -101,7 +101,7 @@ uint64_t EventEngine::PumpOneLocked() {
 }
 
 void EventEngine::Reset() {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // resolved_ must drain too: a pre-reset arrival silently applied to
   // post-reset clocks would be a far worse bug than this abort.
   SPARDL_CHECK(flows_.empty() && queue_.Empty() && resolved_.empty())
@@ -110,19 +110,19 @@ void EventEngine::Reset() {
 }
 
 bool EventEngine::Idle() const {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return flows_.empty() && queue_.Empty() && resolved_.empty();
 }
 
 LinkUsage EventEngine::link_usage(LinkId id) const {
   SPARDL_CHECK(id >= 0 && id < topology_.num_links());
   if (closed_form_) return LinkUsage{};
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return links_[static_cast<size_t>(id)].usage();
 }
 
 void EventEngine::set_trace_recorder(TraceRecorder* recorder) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   trace_recorder_ = recorder;
 }
 

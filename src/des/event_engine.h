@@ -2,11 +2,11 @@
 #define SPARDL_DES_EVENT_ENGINE_H_
 
 #include <cstdint>
+#include <mutex>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "obs/trace.h"
 #include "topo/topology.h"
 
@@ -122,8 +122,9 @@ class LinkServer {
 /// worker a resolution releases is the flow's receiver (`FlowDst`).
 ///
 /// Locking: one engine mutex guards everything — flows, links, queue,
-/// and (via `mu()`) the `Network` and `Scheduler` state that must change
-/// atomically with them (mailboxes, barrier, clock sync, waiter states).
+/// and (via `mu()`) the `Network`, `Scheduler` and protocol-checker state
+/// that must change atomically with them (mailboxes, barrier, clock sync,
+/// waiter states, op logs).
 class EventEngine {
  public:
   /// `topology` must outlive the engine; link parameters (including
@@ -133,10 +134,10 @@ class EventEngine {
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
 
-  /// The engine mutex. `Network` holds it (via `std::unique_lock`) across
-  /// every mailbox/barrier/sync operation. Lock-order checked in debug
-  /// builds (family "simnet.engine").
-  lockcheck::OrderedMutex& mu() const { return mu_; }
+  /// The engine mutex, the simulator's only mutex. `Network` holds it
+  /// (via `std::unique_lock`) across every mailbox/barrier/sync operation
+  /// and protocol-checker hook.
+  std::mutex& mu() const { return mu_; }
 
   /// Injects a `words`-word flow from `src` to `dst` at simulated time
   /// `sent_at` and returns its deterministic key: `(src*P + dst) << 32 |
@@ -196,7 +197,7 @@ class EventEngine {
   const Topology& topology_;
   /// `topology_.closed_form_charge()`, cached: nothing to inject or pump.
   const bool closed_form_;
-  mutable lockcheck::OrderedMutex mu_{"simnet.engine"};
+  mutable std::mutex mu_;
 
   EventQueue queue_;
   TraceRecorder* trace_recorder_ = nullptr;

@@ -66,14 +66,14 @@ void Scheduler::RunFibers(const std::function<void(int)>& body) {
     // lock-free: every fiber runs on this one OS thread and all of them
     // are suspended with the engine mutex released. Only pumping takes it.
     if (WakeNotifiedWaiters()) continue;
-    std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
+    std::lock_guard<std::mutex> lock(engine_->mu());
     Stall();
   }
 }
 
 void Scheduler::RunThreads(const std::function<void(int)>& body) {
   const size_t num_workers = slots_.size();
-  parked_ = std::make_unique<std::condition_variable_any[]>(num_workers);
+  parked_ = std::make_unique<std::condition_variable[]>(num_workers);
   stats_.resumes += num_workers;
   std::vector<std::thread> threads;
   threads.reserve(num_workers);
@@ -87,7 +87,7 @@ void Scheduler::RunThreads(const std::function<void(int)>& body) {
   parked_.reset();
 }
 
-void Scheduler::Wait(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
+void Scheduler::Wait(int rank, std::unique_lock<std::mutex>& lock,
                      const std::function<bool()>& pred,
                      double timeout_seconds,
                      const std::function<std::string()>& describe) {
@@ -117,7 +117,7 @@ void Scheduler::Wait(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
   }
 }
 
-void Scheduler::Park(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
+void Scheduler::Park(int rank, std::unique_lock<std::mutex>& lock,
                      double timeout_seconds) {
   // The last worker to block runs the stall step for everyone.
   if (blocked_ == live_) Stall();
@@ -126,7 +126,7 @@ void Scheduler::Park(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_seconds));
   const WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
-  std::condition_variable_any& cv = parked_[static_cast<size_t>(rank)];
+  std::condition_variable& cv = parked_[static_cast<size_t>(rank)];
   while (slot.state == State::kWaiting) {
     const bool timed_out =
         cv.wait_until(lock, deadline) == std::cv_status::timeout;
@@ -138,7 +138,7 @@ void Scheduler::Park(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
 }
 
 void Scheduler::Exit(int rank) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
+  std::lock_guard<std::mutex> lock(engine_->mu());
   slots_[static_cast<size_t>(rank)].state = State::kDone;
   --live_;
   if (live_ > 0 && blocked_ == live_) Stall();
@@ -224,6 +224,10 @@ void Scheduler::DiagnoseStall() {
     SPARDL_CHECK(slot.state != State::kWaiting || !(*slot.pred)())
         << "lost wakeup: worker " << rank << " ready but never notified";
   }
+  if (deadlock_hook_) {
+    deadlock_hook_();
+    if (WakeNotifiedWaiters()) return;
+  }
   std::string detail;
   int shown = 0;
   for (size_t rank = 0; rank < slots_.size(); ++rank) {
@@ -240,7 +244,6 @@ void Scheduler::DiagnoseStall() {
       << "scheduler stalled: no runnable worker, no ready predicate, no "
          "pumpable event — collective deadlock?"
       << detail;
-  std::abort();  // unreachable; keeps [[noreturn]] honest for the compiler
 }
 
 }  // namespace spardl

@@ -7,9 +7,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "des/fiber.h"
 
 namespace spardl {
@@ -69,9 +69,12 @@ struct SchedulerStats {
 /// or exits — the scheduler runs the stall step: it pumps the event
 /// engine in `(time, key)` order, waking the receiver of each resolved
 /// flow, until some waiter is runnable. If the queue drains first, the
-/// SPMD program is deadlocked and the scheduler aborts at once with
-/// every waiter's diagnostic. Threads additionally keep a wall-clock
-/// bound per wait as a backstop for a worker that never blocks.
+/// SPMD program is deadlocked: this is the one place a deadlock is
+/// found. The scheduler then runs the deadlock hook, if one is set
+/// (`Network` sets the protocol checker's diagnosis, which releases every
+/// waiter to unwind), and otherwise aborts at once with every waiter's
+/// diagnostic. Threads additionally keep a wall-clock bound per wait as a
+/// backstop for a worker that never blocks.
 ///
 /// Notify contract. The scheduler never polls a predicate it was not
 /// told about, so whoever changes the state a waiter's predicate reads
@@ -83,7 +86,7 @@ struct SchedulerStats {
 ///     notifies `dst`;
 ///   - a barrier releases or a clock sync latches: the last arriver
 ///     calls `NotifyAll`;
-///   - a protocol violation interrupts the run: `InterruptWaiters` calls
+///   - the deadlock hook latches a protocol diagnosis: the hook calls
 ///     `NotifyAll`.
 /// A notify for a worker that is not waiting is dropped: the worker
 /// checks its predicate itself when it next calls `Wait`. A missed
@@ -105,10 +108,11 @@ struct SchedulerStats {
 /// the engine mutex held, and every predicate reads only state that
 /// mutex guards. On fibers `Wait` releases the mutex across the switch
 /// (the next fiber runs on the same OS thread and would self-deadlock
-/// re-acquiring it), so a caller must hold no *other* lock across it.
-/// The fiber wake step then evaluates predicates without the mutex
-/// (sound: one carrier thread, every fiber suspended); only the stall
-/// step takes it, to pump the engine.
+/// re-acquiring it). It is the simulator's only mutex, so no other lock
+/// can be held across a wait and there is no lock order. The fiber wake
+/// step then evaluates predicates without the mutex (sound: one carrier
+/// thread, every fiber suspended); only the stall step takes it, to pump
+/// the engine.
 class Scheduler {
  public:
   Scheduler();
@@ -130,7 +134,7 @@ class Scheduler {
   /// time; `describe` is only invoked for that abort and the stall
   /// diagnostic. Both references must stay valid across the wait (they
   /// live in the caller's suspended frame).
-  void Wait(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
+  void Wait(int rank, std::unique_lock<std::mutex>& lock,
             const std::function<bool()>& pred, double timeout_seconds,
             const std::function<std::string()>& describe);
 
@@ -138,9 +142,17 @@ class Scheduler {
   /// is not waiting). Caller holds the engine mutex.
   void Notify(int rank);
 
-  /// `Notify` for every worker (barrier release, interrupts). Caller
-  /// holds the engine mutex.
+  /// `Notify` for every worker (barrier release, protocol diagnosis).
+  /// Caller holds the engine mutex.
   void NotifyAll();
+
+  /// Sets what a deadlocked stall runs instead of aborting: with the
+  /// engine mutex held, after the lost-wakeup check. The hook must make
+  /// some waiter's predicate true and notify it; if none wakes, the stall
+  /// aborts with the waiter dump as without a hook. Call before `Run`.
+  void set_deadlock_hook(std::function<void()> hook) {
+    deadlock_hook_ = std::move(hook);
+  }
 
   /// Counters of the current (or, after `Run` returns, the last) run.
   const SchedulerStats& stats() const { return stats_; }
@@ -166,7 +178,7 @@ class Scheduler {
   /// Thread carrier: parks `rank` (already kWaiting) until a wake moves
   /// it back to runnable, running the stall step first if it is the
   /// last live worker to block.
-  void Park(int rank, std::unique_lock<lockcheck::OrderedMutex>& lock,
+  void Park(int rank, std::unique_lock<std::mutex>& lock,
             double timeout_seconds);
 
   /// Thread carrier: retires `rank` once its body returned. Its exit can
@@ -190,15 +202,16 @@ class Scheduler {
   /// the queue drains). Returns true if a waiter is now runnable.
   bool PumpEngine();
 
-  /// Aborts with "lost wakeup" if some waiter's predicate already holds
-  /// (a missed `Notify`), else with the deadlock waiter dump.
-  [[noreturn]] void DiagnoseStall();
+  /// The stall is a deadlock. Aborts with "lost wakeup" if some waiter's
+  /// predicate already holds (a missed `Notify`); else runs the deadlock
+  /// hook and returns once it woke a waiter; else aborts with the
+  /// waiter dump.
+  void DiagnoseStall();
 
   ExecBackend carrier_ = ExecBackend::kThread;
   std::vector<WorkerSlot> slots_;
-  /// Thread carrier: one condition variable per worker (`_any` so waits
-  /// release and re-acquire through the checked engine mutex).
-  std::unique_ptr<std::condition_variable_any[]> parked_;
+  /// Thread carrier: one condition variable per worker.
+  std::unique_ptr<std::condition_variable[]> parked_;
   /// Fiber carrier: runnable workers in rank order; only the wake step
   /// appends, so the round loop can walk it while fibers run.
   std::vector<int> ready_;
@@ -209,6 +222,7 @@ class Scheduler {
   int live_ = 0;     // workers not finished
   int blocked_ = 0;  // workers in kWaiting
   SchedulerStats stats_;
+  std::function<void()> deadlock_hook_;
   EventEngine* engine_ = nullptr;
   int current_ = -1;  // rank of the running fiber, -1 in the scheduler
 };

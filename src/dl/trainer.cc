@@ -225,7 +225,8 @@ TrainResult TrainDistributed(Cluster& cluster, const Dataset& dataset,
   std::vector<double> checksums(static_cast<size_t>(p), 0.0);
 
   // With `Cluster::EnableProtocolCheck` on, a divergent collective
-  // schedule surfaces here as the verifier's diagnosis instead of a hang.
+  // schedule surfaces here as the verifier's diagnosis instead of the
+  // scheduler's stall abort.
   SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
     const int rank = comm.rank();
     const auto rank_idx = static_cast<size_t>(rank);

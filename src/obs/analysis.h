@@ -18,17 +18,14 @@ class Cluster;
 ///
 /// `kCompute`/`kOverlapIdle` lie on a worker's own timeline; the three
 /// `kLink*` kinds decompose an event-engine flow into per-hop queueing,
-/// header latency, and (bottleneck) body serialization; `kNetwork` is an
-/// undecomposed network wait (a flow that resolved before tracing was
-/// attached, so it has no per-hop record). The flat fabric's closed form
-/// contributes alpha/serialize splits without a real LinkId.
+/// header latency, and (bottleneck) body serialization. The flat fabric's
+/// closed form contributes alpha/serialize splits without a real LinkId.
 enum class SegmentKind : uint8_t {
   kCompute = 0,
   kOverlapIdle,
   kLinkQueue,
   kLinkAlpha,
   kLinkSerialize,
-  kNetwork,
   kNumSegmentKinds,
 };
 
@@ -43,7 +40,7 @@ std::string_view SegmentKindName(SegmentKind kind);
 struct CriticalSegment {
   double t0 = 0.0;
   double t1 = 0.0;
-  SegmentKind kind = SegmentKind::kNetwork;
+  SegmentKind kind = SegmentKind::kCompute;
   /// Worker whose wait/compute this interval explains (the receiver, for
   /// link segments).
   int worker = -1;
@@ -93,9 +90,10 @@ struct CriticalPathReport {
 /// through compute and idle leaves on each worker's timeline, across
 /// barriers to the worker that set the released clock, and through recv
 /// waits into the event engine's per-hop flow records (falling back to
-/// the closed-form alpha/beta split on flat fabrics and to opaque
-/// `kNetwork` waits for flows without a record). Requires tracing to have
-/// been enabled for the measured window; returns an empty non-ok report
+/// the closed-form alpha/beta split on flat fabrics). A receive whose flow
+/// has no record (it resolved before tracing was attached) breaks the
+/// chain: the report is then not ok. Requires tracing to have been
+/// enabled for the measured window; returns an empty non-ok report
 /// otherwise. Deterministic: the report (and its JSON) is bit-identical
 /// across runs.
 CriticalPathReport ExtractCriticalPath(const Cluster& cluster);

@@ -76,22 +76,13 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
   network->set_scheduler(&scheduler);
   scheduler.Run(
       backend, size(), network->event_engine(),
-      [this, &worker_fn, network, checker](int rank) {
-        Comm& comm = *comms_[static_cast<size_t>(rank)];
+      [this, &worker_fn](int rank) {
         try {
-          worker_fn(comm);
-          // A worker that returns while a peer still waits on it is
-          // itself a divergence; the checker diagnoses the transition.
-          if (checker != nullptr) checker->OnWorkerDone(rank);
+          worker_fn(*comms_[static_cast<size_t>(rank)]);
         } catch (const ProtocolViolation&) {
-          // The diagnosis is latched in the checker; just unwind this
-          // worker. (Only thrown when a checker is attached.)
-        }
-        if (checker != nullptr && checker->failed()) {
-          // Peers still waiting carry `interrupted()` in their wake
-          // predicates; wake them to observe the failure and unwind —
-          // whoever detected first may have been this worker.
-          network->InterruptWaiters();
+          // The diagnosis is latched in the checker, and the network woke
+          // every waiter with it; just unwind this worker. (Only thrown
+          // when a checker is attached.)
         }
       });
   network->set_scheduler(nullptr);
@@ -122,9 +113,6 @@ TraceRecorder& Cluster::EnableTracing() {
 ProtocolChecker& Cluster::EnableProtocolCheck() {
   if (!protocol_checker_) {
     protocol_checker_ = std::make_unique<ProtocolChecker>(size());
-    for (auto& comm : comms_) {
-      comm->set_protocol_checker(protocol_checker_.get());
-    }
     network_->set_protocol_checker(protocol_checker_.get());
   }
   return *protocol_checker_;

@@ -66,12 +66,12 @@ class Cluster {
   TraceRecorder* tracer() const { return trace_recorder_.get(); }
 
   /// Turns on SPMD protocol verification for this cluster (idempotent;
-  /// off by default — the hooks cost one virtualless branch each when
-  /// off). Call between runs, not while workers execute. With checking
-  /// on, a divergent collective schedule (mismatched tag, unequal round
-  /// counts, wrong team size, mixed barrier kinds) makes `Run` return a
-  /// diagnostic `Status` naming both workers' op traces instead of
-  /// deadlocking until the wall-clock timeout.
+  /// off by default — the hooks cost one branch each when off). Call
+  /// between runs, not while workers execute. With checking on, a
+  /// divergent collective schedule (mismatched tag, unequal round counts,
+  /// wrong team size, mixed barrier kinds) makes `Run` return a
+  /// diagnostic `Status` naming the involved workers' op traces instead
+  /// of aborting at the scheduler's stall.
   ProtocolChecker& EnableProtocolCheck();
 
   /// The attached verifier, or null when checking is off.

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "simnet/comm_stats.h"
 #include "simnet/network.h"
-#include "simnet/protocol_check.h"
 #include "topo/placement.h"
 
 namespace spardl {
@@ -57,15 +56,6 @@ class Comm {
   TraceRecorder* tracer() const { return tracer_; }
   void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// The SPMD protocol verifier attached by
-  /// `Cluster::EnableProtocolCheck` (null = off, the default). Every
-  /// collective op is reported to it *before* the network operation, so
-  /// divergences are diagnosed instead of deadlocking.
-  ProtocolChecker* protocol_checker() const { return protocol_; }
-  void set_protocol_checker(ProtocolChecker* checker) {
-    protocol_ = checker;
-  }
-
   /// The phase tag `Recv` charges its wait under right now (maintained by
   /// `TraceScope`, always — the breakdown survives with tracing off).
   Phase phase() const { return phase_; }
@@ -86,10 +76,6 @@ class Comm {
           rank_, TraceSpan{rank_, kStreamMain, phase_, "send", dst, -1,
                            sim_now_, sim_now_, words * sizeof(float)});
     }
-    if (protocol_ != nullptr) {
-      protocol_->OnSend(rank_, dst, tag, words);
-      ThrowIfProtocolFailed();
-    }
     network_->Post(rank_, dst,
                    Packet{std::move(payload), words, sim_now_, tag});
   }
@@ -101,15 +87,8 @@ class Comm {
   /// accounted by the network's event engine.
   Payload Recv(int src, int tag = 0) {
     SPARDL_DCHECK(src != rank_) << "self-recv";
-    if (protocol_ != nullptr) {
-      protocol_->OnRecvPosted(rank_, src, tag);
-      ThrowIfProtocolFailed();
-    }
     Network::Delivered delivered =
         network_->RecvPacket(src, rank_, tag, sim_now_);
-    if (protocol_ != nullptr) {
-      protocol_->OnRecvMatched(rank_, src, tag, delivered.packet.words);
-    }
     const double before = sim_now_;
     sim_now_ = delivered.delivery_time;
     stats_.messages_received += 1;
@@ -194,21 +173,11 @@ class Comm {
   }
 
   /// Rendezvous with all workers (no simulated-time effect).
-  void Barrier() {
-    if (protocol_ != nullptr) {
-      protocol_->OnBarrierEnter(rank_, /*clock_sync=*/false);
-      ThrowIfProtocolFailed();
-    }
-    network_->BarrierWait(rank_);
-  }
+  void Barrier() { network_->BarrierWait(rank_); }
 
   /// Rendezvous and align every worker's clock to the cluster-wide max —
   /// the synchronisation point at the end of an S-SGD iteration.
   void BarrierSyncClocks() {
-    if (protocol_ != nullptr) {
-      protocol_->OnBarrierEnter(rank_, /*clock_sync=*/true);
-      ThrowIfProtocolFailed();
-    }
     const double before = sim_now_;
     sim_now_ = network_->MaxClockSync(rank_, sim_now_);
     stats_.phase_seconds[static_cast<size_t>(Phase::kBarrier)] +=
@@ -226,7 +195,7 @@ class Comm {
   /// the training/measurement loop once per iteration, before the final
   /// clock-sync barrier so cross-worker skew is still visible.
   void MarkIteration() {
-    if (protocol_ != nullptr) protocol_->OnIteration(rank_);
+    network_->MarkIteration(rank_);
     if (tracer_ == nullptr) return;
     IterationMark mark;
     mark.sim_now = sim_now_;
@@ -242,24 +211,12 @@ class Comm {
  private:
   friend class TraceScope;
 
-  /// Unwinds this worker once the checker has a diagnosis, waking every
-  /// peer still blocked in the network so they unwind too. The exception
-  /// is caught by `Cluster::Run`, which returns the diagnosis as a
-  /// `Status`.
-  void ThrowIfProtocolFailed() {
-    if (protocol_->failed()) {
-      network_->InterruptWaiters();
-      throw ProtocolViolation(protocol_->status());
-    }
-  }
-
   Network* network_;
   int rank_;
   int size_;
   double sim_now_ = 0.0;
   CommStats stats_;
   TraceRecorder* tracer_ = nullptr;
-  ProtocolChecker* protocol_ = nullptr;
   Phase phase_ = Phase::kUntagged;
 };
 

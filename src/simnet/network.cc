@@ -56,6 +56,13 @@ void Network::SetWorkerSlowdown(int rank, double factor) {
   topology_->SetNodeScale(rank, factor);
 }
 
+void Network::set_scheduler(Scheduler* scheduler) {
+  scheduler_ = scheduler;
+  if (scheduler_ != nullptr && protocol_ != nullptr) {
+    scheduler_->set_deadlock_hook([this] { DiagnoseDeadlockLocked(); });
+  }
+}
+
 bool Network::interrupted() const {
   return protocol_ != nullptr && protocol_->failed();
 }
@@ -64,12 +71,26 @@ void Network::ThrowIfInterrupted() const {
   if (interrupted()) throw ProtocolViolation(protocol_->status());
 }
 
-void Network::InterruptWaiters() {
-  // Notifying under the lock closes the window where a waiter checked its
-  // predicate before the (already visible) failure flag flipped but has
-  // not gone to sleep yet.
-  std::lock_guard<lockcheck::OrderedMutex> lock(engine_.mu());
+void Network::DiagnoseDeadlockLocked() {
+  protocol_->DiagnoseDeadlock([this](int src, int dst) {
+    std::vector<int> tags;
+    const std::unique_ptr<Mailbox>& box =
+        mailboxes_[static_cast<size_t>(src) * static_cast<size_t>(size_) +
+                   static_cast<size_t>(dst)];
+    if (box != nullptr) {
+      for (const Packet& packet : *box) tags.push_back(packet.tag);
+    }
+    return tags;
+  });
   NotifyAllLocked();
+}
+
+ptrdiff_t Network::FirstQueuedLocked() const {
+  for (size_t i = 0; i < mailboxes_.size(); ++i) {
+    const std::unique_ptr<Mailbox>& box = mailboxes_[i];
+    if (box != nullptr && !box->empty()) return static_cast<ptrdiff_t>(i);
+  }
+  return -1;
 }
 
 void Network::NotifyAllLocked() {
@@ -100,7 +121,10 @@ void Network::Post(int src, int dst, Packet packet) {
   // Inject the flow at *send* time: its route and logical injection time
   // are fully known here, and charging from the sender side is what frees
   // the engine from receiver-thread ordering.
-  std::lock_guard<lockcheck::OrderedMutex> lock(engine_.mu());
+  std::lock_guard<std::mutex> lock(engine_.mu());
+  if (protocol_ != nullptr) {
+    protocol_->OnSend(src, dst, packet.tag, packet.words);
+  }
   const uint64_t flow =
       engine_.InjectFlowLocked(src, dst, packet.words, packet.sent_at);
   packet.flow = flow;
@@ -111,9 +135,16 @@ void Network::Post(int src, int dst, Packet packet) {
   if (flow == 0 && scheduler_ != nullptr) scheduler_->Notify(dst);
 }
 
+void Network::MarkIteration(int rank) {
+  if (protocol_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(engine_.mu());
+  protocol_->OnIteration(rank);
+}
+
 Network::Delivered Network::RecvPacket(int src, int dst, int tag,
                                        double receiver_now) {
   Lock lock(engine_.mu());
+  if (protocol_ != nullptr) protocol_->OnRecvPosted(dst, src, tag);
   Mailbox& box = BoxForLocked(src, dst);
   const auto find_tag = [&box, tag] {
     auto it = box.begin();
@@ -133,6 +164,7 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
   Delivered delivered{std::move(*it), 0.0};
   box.erase(it);
   const Packet& packet = delivered.packet;
+  if (protocol_ != nullptr) protocol_->OnRecvMatched(dst, packet.words);
   delivered.delivery_time = engine_.TakeDeliveryLocked(
       packet.flow, src, dst, packet.words, packet.sent_at, receiver_now);
   return delivered;
@@ -140,48 +172,60 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
 
 void Network::BarrierWait(int rank) {
   Lock lock(engine_.mu());
+  if (protocol_ != nullptr) protocol_->OnBarrierEnter(rank, false);
   const uint64_t my_generation = barrier_generation_;
   if (++barrier_waiting_ == size_) {
     // Last arriver releases everyone.
     barrier_waiting_ = 0;
     ++barrier_generation_;
     NotifyAllLocked();
-    return;
+  } else {
+    WaitLocked(
+        rank, lock,
+        [&] { return barrier_generation_ != my_generation || interrupted(); },
+        [] { return std::string("BarrierWait"); });
   }
-  WaitLocked(
-      rank, lock,
-      [&] { return barrier_generation_ != my_generation || interrupted(); },
-      [] { return std::string("BarrierWait"); });
   ThrowIfInterrupted();
+  if (protocol_ != nullptr) protocol_->OnBarrierDone(rank);
 }
 
 double Network::MaxClockSync(int rank, double value) {
   Lock lock(engine_.mu());
+  if (protocol_ != nullptr) protocol_->OnBarrierEnter(rank, true);
   const uint64_t my_generation = sync_generation_;
   if (value > sync_max_) sync_max_ = value;
   if (++sync_count_ == size_) {
-    // Last publisher latches the max.
+    // Last publisher latches the max. A clock sync is an iteration
+    // boundary, so a message still queued is a peer asymmetry.
     sync_result_ = sync_max_;
     sync_max_ = 0.0;
     sync_count_ = 0;
     ++sync_generation_;
+    // Every worker has arrived, so every send of this iteration has been
+    // posted and every matching receive has consumed its message.
+    const ptrdiff_t queued = protocol_ != nullptr ? FirstQueuedLocked() : -1;
+    if (queued >= 0) {
+      const Mailbox& box = *mailboxes_[static_cast<size_t>(queued)];
+      protocol_->FailPeerAsymmetry(static_cast<int>(queued / size_),
+                                   static_cast<int>(queued % size_),
+                                   box.size(), box.front().tag,
+                                   box.front().words);
+    }
     NotifyAllLocked();
-    return sync_result_;
+  } else {
+    WaitLocked(
+        rank, lock,
+        [&] { return sync_generation_ != my_generation || interrupted(); },
+        [] { return std::string("MaxClockSync"); });
   }
-  WaitLocked(
-      rank, lock,
-      [&] { return sync_generation_ != my_generation || interrupted(); },
-      [] { return std::string("MaxClockSync"); });
   ThrowIfInterrupted();
+  if (protocol_ != nullptr) protocol_->OnBarrierDone(rank);
   return sync_result_;
 }
 
 bool Network::AllMailboxesEmpty() const {
-  std::lock_guard<lockcheck::OrderedMutex> lock(engine_.mu());
-  for (const std::unique_ptr<Mailbox>& box : mailboxes_) {
-    if (box != nullptr && !box->empty()) return false;
-  }
-  return true;
+  std::lock_guard<std::mutex> lock(engine_.mu());
+  return FirstQueuedLocked() < 0;
 }
 
 }  // namespace spardl

@@ -1,6 +1,7 @@
 #ifndef SPARDL_SIMNET_NETWORK_H_
 #define SPARDL_SIMNET_NETWORK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -60,10 +61,17 @@ struct Packet {
 /// pumps the engine when every worker is blocked and aborts with a waiter
 /// dump when nothing can progress. The network keeps the scheduler's
 /// notify contract: a closed-form `Post` notifies `dst`, and a barrier
-/// release, clock-sync latch or interrupt notifies everyone. On threads
-/// each wait is also bounded by `recv_timeout_seconds` of *wall* time, a
-/// backstop that aborts the process. With no scheduler attached (a test
-/// driving endpoints from one thread) a wait pumps the engine itself.
+/// release, clock-sync latch or protocol diagnosis notifies everyone. On
+/// threads each wait is also bounded by `recv_timeout_seconds` of *wall*
+/// time, a backstop that aborts the process. With no scheduler attached
+/// (a test driving endpoints from one thread) a wait pumps the engine
+/// itself.
+///
+/// Protocol checking: with a `ProtocolChecker` attached, every operation
+/// reports to it inside its own critical section, and the network installs
+/// the checker's deadlock diagnosis as the scheduler's stall hook. The
+/// engine mutex is the only mutex in the simulator, so there is no lock
+/// order to keep.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -102,9 +110,11 @@ class Network {
   EventEngine& event_engine() { return engine_; }
 
   /// Attaches the scheduler running the workers; every blocking operation
-  /// waits through it. Call while no workers run (`Cluster::Run` attaches
-  /// its scheduler for the length of the run, then detaches it with null).
-  void set_scheduler(Scheduler* scheduler) { scheduler_ = scheduler; }
+  /// waits through it. With a protocol checker attached, also installs the
+  /// scheduler's deadlock hook. Call while no workers run (`Cluster::Run`
+  /// attaches its scheduler for the length of the run, then detaches it
+  /// with null).
+  void set_scheduler(Scheduler* scheduler);
 
   /// Attaches a span recorder to the engine (per-link occupancy spans and
   /// flow records). Call while no worker threads run; the recorder must
@@ -120,6 +130,10 @@ class Network {
   /// Deposits a packet into the (src, dst) mailbox and injects its flow
   /// into the engine.
   void Post(int src, int dst, Packet packet);
+
+  /// `Comm::MarkIteration`: advances `rank`'s iteration label in the
+  /// protocol checker (no-op without one).
+  void MarkIteration(int rank);
 
   /// A received packet plus the receiver's advanced clock.
   struct Delivered {
@@ -156,20 +170,15 @@ class Network {
   /// Attaches the SPMD protocol verifier (see `simnet/protocol_check.h`).
   /// Once attached, every blocking wait also watches `checker->failed()`
   /// and throws `ProtocolViolation` instead of waiting out a diagnosed
-  /// divergence. Call while no worker threads run
+  /// divergence. Call while no workers run, before `set_scheduler`
   /// (`Cluster::EnableProtocolCheck` does).
   void set_protocol_checker(ProtocolChecker* checker) {
     protocol_ = checker;
   }
 
-  /// Wakes every worker blocked in a receive, barrier, or clock sync so
-  /// it can observe a diagnosed protocol violation and unwind. Called by
-  /// the detecting worker (which holds no network locks).
-  void InterruptWaiters();
-
  private:
   using Mailbox = std::deque<Packet>;
-  using Lock = std::unique_lock<lockcheck::OrderedMutex>;
+  using Lock = std::unique_lock<std::mutex>;
 
   /// Blocks worker `rank` until `pred()` holds: through the attached
   /// scheduler, or, with none attached, by pumping the engine (CHECK-fails
@@ -187,8 +196,18 @@ class Network {
   /// divergence (no-op otherwise). Called at every wait site.
   void ThrowIfInterrupted() const;
 
-  /// Lock-free poll for wait predicates.
+  /// True once the attached checker has diagnosed a divergence. Read by
+  /// wait predicates.
   bool interrupted() const;
+
+  /// The scheduler's deadlock hook: latches the checker's diagnosis from
+  /// the real mailboxes and notifies every waiter so all unwind. Caller
+  /// holds the engine mutex.
+  void DiagnoseDeadlockLocked();
+
+  /// Index (src * P + dst) of the first non-empty mailbox, or -1 when
+  /// every mailbox is empty. Caller holds the engine mutex.
+  ptrdiff_t FirstQueuedLocked() const;
 
   /// The (src, dst) mailbox, created on first touch. Caller holds the
   /// engine mutex. Mailboxes are lazy because the pair table is P^2: at

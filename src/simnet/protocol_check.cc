@@ -36,20 +36,16 @@ ProtocolChecker::ProtocolChecker(int num_workers)
     : num_workers_(num_workers) {
   SPARDL_CHECK_GE(num_workers_, 1);
   workers_.resize(static_cast<size_t>(num_workers_));
-  channels_.resize(static_cast<size_t>(num_workers_) *
-                   static_cast<size_t>(num_workers_));
 }
 
 void ProtocolChecker::BeginRun() {
   SPARDL_CHECK(!failed())
       << "ProtocolChecker reused after a violation; the cluster's "
          "simulated state is inconsistent past the first diagnosis";
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   for (Worker& worker : workers_) worker = Worker{};
-  for (auto& channel : channels_) channel.clear();
 }
 
-void ProtocolChecker::RecordLocked(int rank, ProtocolRecord record) {
+void ProtocolChecker::Record(int rank, ProtocolRecord record) {
   Worker& worker = WorkerFor(rank);
   record.iteration = worker.iteration;
   ++worker.num_ops;
@@ -58,180 +54,107 @@ void ProtocolChecker::RecordLocked(int rank, ProtocolRecord record) {
 }
 
 void ProtocolChecker::OnSend(int src, int dst, int tag, size_t words) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  if (failed()) return;
-  RecordLocked(src, ProtocolRecord{ProtocolOp::kSend, dst, tag, words, 0});
-  ChannelLocked(src, dst).push_back(PendingSend{tag, words});
+  Record(src, ProtocolRecord{ProtocolOp::kSend, dst, tag, words, 0});
 }
 
 void ProtocolChecker::OnRecvPosted(int rank, int src, int tag) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  if (failed()) return;
-  RecordLocked(rank, ProtocolRecord{ProtocolOp::kRecv, src, tag, 0, 0});
+  Record(rank, ProtocolRecord{ProtocolOp::kRecv, src, tag, 0, 0});
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kRecvWait;
   worker.wait_peer = src;
   worker.wait_tag = tag;
-  CheckStuckLocked();
 }
 
-void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
-                                    size_t words) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  if (failed()) return;
+void ProtocolChecker::OnRecvMatched(int rank, size_t words) {
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kRunning;
   // Backfill the element count onto the recv record made at post time.
   if (!worker.log.empty() && worker.log.back().op == ProtocolOp::kRecv) {
     worker.log.back().words = words;
   }
-  // Consume the matched send, mirroring the mailbox's semantics exactly:
-  // first queued send with this tag, skipping other tags (FIFO per tag).
-  auto& channel = ChannelLocked(src, rank);
-  const auto it =
-      std::find_if(channel.begin(), channel.end(),
-                   [tag](const PendingSend& s) { return s.tag == tag; });
-  SPARDL_CHECK(it != channel.end())
-      << "protocol checker out of sync: worker " << rank
-      << " received tag " << tag << " from " << src
-      << " with no recorded unmatched send";
-  channel.erase(it);
 }
 
 void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  if (failed()) return;
-  RecordLocked(rank, ProtocolRecord{clock_sync ? ProtocolOp::kClockSync
-                                               : ProtocolOp::kBarrier,
-                                    -1, 0, 0, 0});
-  // A peer already waiting at the *other* barrier kind can never
-  // rendezvous with us: Barrier and BarrierSyncClocks use separate
-  // counters, so the divergence would deadlock. Diagnose immediately.
-  for (int peer = 0; peer < num_workers_; ++peer) {
-    const Worker& other = WorkerFor(peer);
-    if (peer == rank || other.state != WorkerState::kBarrierWait ||
-        other.wait_clock_sync == clock_sync) {
-      continue;
-    }
-    FailLocked("collective mismatch: worker " + std::to_string(rank) +
-               " entered " + std::string(clock_sync ? "BarrierSyncClocks"
-                                                    : "Barrier") +
-               " while worker " + std::to_string(peer) + " waits in " +
-               std::string(other.wait_clock_sync ? "BarrierSyncClocks"
-                                                 : "Barrier") +
-               " — divergent barrier kinds can never rendezvous\n" +
-               DescribeWorkerLocked(rank) + DescribeWorkerLocked(peer));
-    return;
-  }
+  Record(rank, ProtocolRecord{clock_sync ? ProtocolOp::kClockSync
+                                         : ProtocolOp::kBarrier,
+                              -1, 0, 0, 0});
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kBarrierWait;
   worker.wait_clock_sync = clock_sync;
+}
 
-  const bool all_waiting =
-      std::all_of(workers_.begin(), workers_.end(), [](const Worker& w) {
-        return w.state == WorkerState::kBarrierWait;
-      });
-  if (!all_waiting) {
-    // Some peer is done (the barrier can then never complete) or still
-    // blocked elsewhere — let the global progress check decide.
-    CheckStuckLocked();
+void ProtocolChecker::OnBarrierDone(int rank) {
+  WorkerFor(rank).state = WorkerState::kRunning;
+}
+
+void ProtocolChecker::OnIteration(int rank) { ++WorkerFor(rank).iteration; }
+
+void ProtocolChecker::FailPeerAsymmetry(int src, int dst, size_t count,
+                                        int tag, size_t words) {
+  Fail("peer asymmetry: " + std::to_string(count) +
+       " unmatched send(s) from worker " + std::to_string(src) +
+       " to worker " + std::to_string(dst) + " (first: tag=" +
+       std::to_string(tag) + ", words=" + std::to_string(words) +
+       ") at a clock-sync barrier — the receiver never posted a matching "
+       "recv this iteration\n" +
+       DescribeWorker(src) + DescribeWorker(dst));
+}
+
+void ProtocolChecker::DiagnoseDeadlock(const MailboxTags& mailbox_tags) {
+  if (failed()) return;
+  const auto barrier_name = [](bool clock_sync) {
+    return std::string(clock_sync ? "BarrierSyncClocks" : "Barrier");
+  };
+  // Barrier and BarrierSyncClocks use separate counters, so workers
+  // waiting in different kinds can never rendezvous.
+  int first_waiter[2] = {-1, -1};  // lowest rank per kind, [clock_sync]
+  for (int rank = 0; rank < num_workers_; ++rank) {
+    const Worker& worker = WorkerFor(rank);
+    int& first = first_waiter[worker.wait_clock_sync ? 1 : 0];
+    if (worker.state == WorkerState::kBarrierWait && first < 0) {
+      first = rank;
+    }
+  }
+  if (first_waiter[0] >= 0 && first_waiter[1] >= 0) {
+    const int first = std::min(first_waiter[0], first_waiter[1]);
+    const int second = std::max(first_waiter[0], first_waiter[1]);
+    Fail("collective mismatch: worker " + std::to_string(first) +
+         " waits in " + barrier_name(WorkerFor(first).wait_clock_sync) +
+         " while worker " + std::to_string(second) + " waits in " +
+         barrier_name(WorkerFor(second).wait_clock_sync) +
+         " — divergent barrier kinds can never rendezvous\n" +
+         DescribeWorker(first) + DescribeWorker(second));
     return;
   }
-  // Logical completion (we are the last arriver; the network barrier we
-  // are about to enter will release everyone). A clock-sync barrier is an
-  // iteration boundary: every send must have found its receive by now, so
-  // surviving unmatched sends are a peer asymmetry — diagnose them here
-  // rather than as a confusing tag mismatch an iteration later.
-  if (clock_sync) {
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& channel = ChannelLocked(src, dst);
-        if (channel.empty()) continue;
-        FailLocked(
-            "peer asymmetry: " + std::to_string(channel.size()) +
-            " unmatched send(s) from worker " + std::to_string(src) +
-            " to worker " + std::to_string(dst) + " (first: tag=" +
-            std::to_string(channel.front().tag) + ", words=" +
-            std::to_string(channel.front().words) +
-            ") at a clock-sync barrier — the receiver never posted a "
-            "matching recv this iteration\n" +
-            DescribeWorkerLocked(src) + DescribeWorkerLocked(dst));
-        return;
-      }
-    }
-  }
-  for (Worker& w : workers_) w.state = WorkerState::kRunning;
-}
-
-void ProtocolChecker::OnIteration(int rank) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  ++WorkerFor(rank).iteration;
-}
-
-void ProtocolChecker::OnWorkerDone(int rank) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  if (failed()) return;
-  WorkerFor(rank).state = WorkerState::kDone;
-  CheckStuckLocked();
-}
-
-bool ProtocolChecker::RecvSatisfiableLocked(int rank) const {
-  const Worker& worker = workers_[static_cast<size_t>(rank)];
-  const auto& channel =
-      channels_[static_cast<size_t>(worker.wait_peer) *
-                    static_cast<size_t>(num_workers_) +
-                static_cast<size_t>(rank)];
-  return std::any_of(channel.begin(), channel.end(),
-                     [&worker](const PendingSend& s) {
-                       return s.tag == worker.wait_tag;
-                     });
-}
-
-void ProtocolChecker::CheckStuckLocked() {
-  if (failed()) return;
-  bool all_done = true;
-  for (const Worker& worker : workers_) {
-    if (worker.state == WorkerState::kRunning) return;  // progress possible
-    if (worker.state != WorkerState::kDone) all_done = false;
-  }
-  if (all_done) return;
-  for (int rank = 0; rank < num_workers_; ++rank) {
-    if (WorkerFor(rank).state == WorkerState::kRecvWait &&
-        RecvSatisfiableLocked(rank)) {
-      return;  // that receive will complete and its worker will run
-    }
-  }
-  // Stuck: every worker is blocked or done, no wait is satisfiable, and
-  // at least one worker is not done. Pick the most specific diagnosis.
+  // Pick the most specific diagnosis. At a stall every live worker waits,
+  // so a worker with no recorded wait has returned.
   int victim = -1;
   int peer = -1;
   std::string reason;
   for (int rank = 0; rank < num_workers_ && victim < 0; ++rank) {
     const Worker& worker = WorkerFor(rank);
     if (worker.state != WorkerState::kRecvWait) continue;
-    const auto& channel = ChannelLocked(worker.wait_peer, rank);
-    if (!channel.empty()) {
-      // Sends exist on the waited-on channel but none carries the awaited
-      // tag: the classic mismatched-tag divergence.
-      std::string tags;
-      for (const PendingSend& s : channel) {
-        if (!tags.empty()) tags += ", ";
-        tags += std::to_string(s.tag);
-      }
-      reason = "tag mismatch: worker " + std::to_string(rank) +
-               " waits for tag " + std::to_string(worker.wait_tag) +
-               " from worker " + std::to_string(worker.wait_peer) +
-               ", but that channel only holds unmatched send(s) with "
-               "tag(s) [" +
-               tags + "]";
-      victim = rank;
-      peer = worker.wait_peer;
+    const std::vector<int> queued = mailbox_tags(worker.wait_peer, rank);
+    if (queued.empty()) continue;
+    // Messages sit in the awaited mailbox but none carries the awaited
+    // tag: the classic mismatched-tag divergence.
+    std::string tags;
+    for (const int tag : queued) {
+      if (!tags.empty()) tags += ", ";
+      tags += std::to_string(tag);
     }
+    reason = "tag mismatch: worker " + std::to_string(rank) +
+             " waits for tag " + std::to_string(worker.wait_tag) +
+             " from worker " + std::to_string(worker.wait_peer) +
+             ", but that mailbox only holds message(s) with tag(s) [" +
+             tags + "]";
+    victim = rank;
+    peer = worker.wait_peer;
   }
   for (int rank = 0; rank < num_workers_ && victim < 0; ++rank) {
     const Worker& worker = WorkerFor(rank);
     if (worker.state == WorkerState::kRecvWait &&
-        WorkerFor(worker.wait_peer).state == WorkerState::kDone) {
+        WorkerFor(worker.wait_peer).state == WorkerState::kRunning) {
       reason = "peer finished early: worker " + std::to_string(rank) +
                " waits for tag " + std::to_string(worker.wait_tag) +
                " from worker " + std::to_string(worker.wait_peer) +
@@ -243,25 +166,21 @@ void ProtocolChecker::CheckStuckLocked() {
   }
   for (int rank = 0; rank < num_workers_ && victim < 0; ++rank) {
     const Worker& worker = WorkerFor(rank);
-    if (worker.state == WorkerState::kBarrierWait) {
-      // A barrier needs every worker; someone is done or recv-stuck.
-      victim = rank;
-      for (int other = 0; other < num_workers_; ++other) {
-        if (WorkerFor(other).state != WorkerState::kBarrierWait) {
-          peer = other;
-          break;
-        }
+    if (worker.state != WorkerState::kBarrierWait) continue;
+    // A barrier needs every worker; someone returned or is recv-stuck.
+    victim = rank;
+    for (int other = 0; other < num_workers_; ++other) {
+      if (WorkerFor(other).state != WorkerState::kBarrierWait) {
+        peer = other;
+        break;
       }
-      reason = "incomplete barrier: worker " + std::to_string(rank) +
-               " waits at " +
-               std::string(worker.wait_clock_sync ? "BarrierSyncClocks"
-                                                  : "Barrier") +
-               " but worker " + std::to_string(peer) +
-               " can never arrive";
     }
+    reason = "incomplete barrier: worker " + std::to_string(rank) +
+             " waits at " + barrier_name(worker.wait_clock_sync) +
+             " but worker " + std::to_string(peer) + " can never arrive";
   }
   if (victim < 0) {
-    // All remaining blocked workers are recv-waiting on empty channels.
+    // Every blocked worker waits on an empty mailbox.
     for (int rank = 0; rank < num_workers_; ++rank) {
       if (WorkerFor(rank).state == WorkerState::kRecvWait) {
         victim = rank;
@@ -269,12 +188,12 @@ void ProtocolChecker::CheckStuckLocked() {
         break;
       }
     }
-    reason = "collective deadlock: every worker is blocked and no recorded "
-             "send satisfies any pending recv (divergent schedules)";
+    reason = "collective deadlock: every worker is blocked and no queued "
+             "message satisfies any pending recv (divergent schedules)";
   }
   std::string message = reason + "\n";
-  message += DescribeWorkerLocked(victim);
-  if (peer >= 0 && peer != victim) message += DescribeWorkerLocked(peer);
+  if (victim >= 0) message += DescribeWorker(victim);
+  if (peer >= 0 && peer != victim) message += DescribeWorker(peer);
   std::ostringstream summary;
   summary << "worker states:";
   for (int rank = 0; rank < num_workers_; ++rank) {
@@ -282,7 +201,7 @@ void ProtocolChecker::CheckStuckLocked() {
     summary << " " << rank << "=";
     switch (worker.state) {
       case WorkerState::kRunning:
-        summary << "running";
+        summary << "done";
         break;
       case WorkerState::kRecvWait:
         summary << "recv-wait(src=" << worker.wait_peer
@@ -292,23 +211,20 @@ void ProtocolChecker::CheckStuckLocked() {
         summary << (worker.wait_clock_sync ? "barrier-sync-wait"
                                            : "barrier-wait");
         break;
-      case WorkerState::kDone:
-        summary << "done";
-        break;
     }
   }
-  FailLocked(message + summary.str());
+  Fail(message + summary.str());
 }
 
-void ProtocolChecker::FailLocked(std::string message) {
+void ProtocolChecker::Fail(std::string message) {
   if (failed()) return;  // first diagnosis wins
   status_ = Status::FailedPrecondition("protocol violation: " +
                                        std::move(message));
-  failed_.store(true, std::memory_order_release);
+  failed_ = true;
 }
 
-std::string ProtocolChecker::DescribeWorkerLocked(int rank) const {
-  const Worker& worker = workers_[static_cast<size_t>(rank)];
+std::string ProtocolChecker::DescribeWorker(int rank) const {
+  const Worker& worker = WorkerFor(rank);
   std::ostringstream out;
   out << "-- worker " << rank << " op trace (iter " << worker.iteration
       << ", " << worker.num_ops << " ops total, last "

@@ -1,14 +1,13 @@
 #ifndef SPARDL_SIMNET_PROTOCOL_CHECK_H_
 #define SPARDL_SIMNET_PROTOCOL_CHECK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "common/status.h"
 
 namespace spardl {
@@ -20,40 +19,39 @@ namespace spardl {
 /// receive with the same (peer, tag); all workers reach the same kind of
 /// barrier; nobody returns while a peer still waits). A divergence — a
 /// mismatched tag, an unequal SRS round count across replicas, a wrong
-/// team size — does not crash: it deadlocks, and the only diagnostic is a
-/// 120-second wall-clock timeout abort with one worker's view.
+/// team size — does not crash: it deadlocks. Without a checker the
+/// scheduler finds that deadlock at its stall and aborts the process with
+/// each worker's pending wait, which names no cause.
 ///
 /// `ProtocolChecker` is an always-compiled, flag-enabled
 /// (`Cluster::EnableProtocolCheck` / `--protocol-check`) verifier that
-/// mirrors the network's matching rules on cheap logical state: each
-/// worker's sequence of collective ops (kind, peer, tag, element count,
-/// iteration) is recorded into a bounded per-worker log, per-channel
-/// unmatched sends are tracked with the mailbox's own tag-filtered FIFO
-/// semantics, and the cross-checks run at each blocking transition:
+/// turns the deadlock into a diagnosis. It records, per worker, a bounded
+/// log of collective ops (kind, peer, tag, element count, iteration) and
+/// the wait the worker is blocked in. It keeps no copy of the messages:
+/// the diagnosis reads the network's real mailboxes. Memory is O(P).
 ///
-///  * a worker entering `Barrier` while a peer waits in
-///    `BarrierSyncClocks` (or vice versa) fails immediately — mismatched
-///    barrier kinds can never rendezvous;
-///  * a completed *clock-sync* barrier (an iteration boundary) with
-///    unmatched sends still queued fails — a peer asymmetry that plain
-///    FIFO matching would surface one iteration too late;
-///  * whenever every worker is blocked (or done) and no blocked worker's
-///    wait can be satisfied by the recorded unmatched sends, the run is
-///    diagnosed as stuck — with specialised messages for tag mismatches
-///    (wrong-tag sends queued on the waited-on channel) and for peers
-///    that finished early.
+/// Two places latch a diagnosis, both inside `Network` critical sections:
 ///
-/// Soundness: hooks run *before* the corresponding network operation, so
-/// the checker's view of sends is never behind the mailboxes'; a wait the
-/// checker deems satisfiable really can complete, so there are no false
-/// stuck reports — at worst a transiently missed one, caught at the next
-/// blocking transition.
+///  * the scheduler's stall (every live worker blocked, the engine queue
+///    drained, no predicate true) calls `DiagnoseDeadlock`, which picks
+///    the most specific class: mismatched barrier kinds, a tag mismatch
+///    (the awaited mailbox holds only other tags), a peer that finished
+///    early, an incomplete barrier, or else the generic collective
+///    deadlock;
+///  * the last arriver of a clock-sync barrier (an iteration boundary)
+///    reports a still-queued message through `FailPeerAsymmetry` — a peer
+///    asymmetry that plain FIFO matching would surface one iteration too
+///    late.
 ///
-/// On detection the first diagnosis wins (later ones are dropped), the
-/// failure flag flips, and the detecting `Comm` interrupts every blocked
-/// waiter via `Network::InterruptWaiters`; all workers unwind with
-/// `ProtocolViolation` and `Cluster::Run` returns the diagnosis as a
-/// `Status` naming both workers' op traces — instead of hanging.
+/// The first diagnosis wins. `Network` notifies every waiter in the same
+/// critical section; their wait predicates observe `failed()`, all
+/// workers unwind with `ProtocolViolation`, and `Cluster::Run` returns the
+/// diagnosis as a `Status` naming the involved workers' op traces —
+/// instead of aborting.
+///
+/// Locking: none of its own. Every call except `BeginRun` and `status`
+/// is made with the engine mutex held; `BeginRun` and `status` run while
+/// no worker does.
 
 /// One recorded collective operation in a worker's log.
 enum class ProtocolOp : uint8_t {
@@ -77,8 +75,8 @@ struct ProtocolRecord {
   int64_t iteration = 0;
 };
 
-/// Thrown by `Comm`/`Network` blocking paths once a violation has been
-/// diagnosed, to unwind every worker thread back to `Cluster::Run` (which
+/// Thrown by `Network` blocking paths once a violation has been
+/// diagnosed, to unwind every worker back to `Cluster::Run` (which
 /// converts it into the returned `Status`). Never escapes `Cluster::Run`.
 class ProtocolViolation : public std::exception {
  public:
@@ -93,52 +91,61 @@ class ProtocolViolation : public std::exception {
   Status status_;
 };
 
-/// The verifier. One instance per `Cluster`; hooks are thread-safe (worker
-/// threads call them concurrently) and `failed()` is a lock-free flag safe
-/// to poll from wait predicates.
+/// The verifier. One instance per `Cluster`.
 class ProtocolChecker {
  public:
+  /// The tags queued in the (src, dst) mailbox, oldest first.
+  using MailboxTags = std::function<std::vector<int>(int src, int dst)>;
+
   explicit ProtocolChecker(int num_workers);
 
   ProtocolChecker(const ProtocolChecker&) = delete;
   ProtocolChecker& operator=(const ProtocolChecker&) = delete;
 
-  /// Resets per-run state (worker states, channels, logs) at the top of
-  /// `Cluster::Run`. Call while no worker threads run. CHECK-fails if a
-  /// previous run's diagnosis was never consumed — a failed cluster is
-  /// poisoned.
+  /// Resets per-run state (worker states, logs) at the top of
+  /// `Cluster::Run`. CHECK-fails if a previous run's diagnosis was never
+  /// consumed — a failed cluster is poisoned.
   void BeginRun();
 
-  // --- Hooks, called by `Comm` *before* the corresponding network
-  // operation (and `OnRecvMatched` right after the receive completes).
+  // --- Hooks, called by `Network` with the engine mutex held.
 
   void OnSend(int src, int dst, int tag, size_t words);
+  /// `rank` blocks until a `tag` message from `src` is deliverable.
   void OnRecvPosted(int rank, int src, int tag);
-  void OnRecvMatched(int rank, int src, int tag, size_t words);
+  /// `rank`'s receive completed with a `words`-word message.
+  void OnRecvMatched(int rank, size_t words);
+  /// `rank` enters a barrier (`clock_sync`: `BarrierSyncClocks`).
   void OnBarrierEnter(int rank, bool clock_sync);
+  /// `rank` left the barrier it entered.
+  void OnBarrierDone(int rank);
+
   /// `Comm::MarkIteration` — advances the worker's iteration counter used
   /// to label log entries.
   void OnIteration(int rank);
-  /// The worker's function returned (called by `Cluster::Run`'s wrapper).
-  void OnWorkerDone(int rank);
 
-  /// True once a violation has been diagnosed. Lock-free; safe in wait
-  /// predicates (monotonic false -> true).
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
+  // --- Diagnoses, made with the engine mutex held. The first one wins.
 
-  /// The first diagnosis, or OK. Lock-free: the status is written once,
-  /// before `failed_` is published.
-  Status status() const {
-    if (!failed()) return Status::OK();
-    return status_;
-  }
+  /// Every live worker is blocked and nothing can release any of them.
+  /// A worker with no recorded wait has returned. `mailbox_tags` reads
+  /// the network's mailboxes.
+  void DiagnoseDeadlock(const MailboxTags& mailbox_tags);
+
+  /// A clock-sync barrier completed with `count` message(s) still queued
+  /// from `src` to `dst`, the oldest carrying `tag` and `words`.
+  void FailPeerAsymmetry(int src, int dst, size_t count, int tag,
+                         size_t words);
+
+  /// True once a violation has been diagnosed (monotonic false -> true).
+  bool failed() const { return failed_; }
+
+  /// The first diagnosis, or OK.
+  const Status& status() const { return status_; }
 
  private:
   enum class WorkerState : uint8_t {
     kRunning,
     kRecvWait,
     kBarrierWait,
-    kDone,
   };
 
   struct Worker {
@@ -155,49 +162,26 @@ class ProtocolChecker {
     std::deque<ProtocolRecord> log;
   };
 
-  /// One unmatched send on a (src, dst) channel.
-  struct PendingSend {
-    int tag = 0;
-    size_t words = 0;
-  };
-
   Worker& WorkerFor(int rank) {
     return workers_[static_cast<size_t>(rank)];
   }
-  std::deque<PendingSend>& ChannelLocked(int src, int dst) {
-    return channels_[static_cast<size_t>(src) *
-                         static_cast<size_t>(num_workers_) +
-                     static_cast<size_t>(dst)];
+  const Worker& WorkerFor(int rank) const {
+    return workers_[static_cast<size_t>(rank)];
   }
 
-  void RecordLocked(int rank, ProtocolRecord record);
+  void Record(int rank, ProtocolRecord record);
 
-  /// True when `rank`'s pending receive has a matching unmatched send.
-  bool RecvSatisfiableLocked(int rank) const;
+  /// Latches the first diagnosis.
+  void Fail(std::string message);
 
-  /// Global progress check, run at every blocking transition (recv posted,
-  /// barrier entered, worker done): if no worker can make progress and not
-  /// everyone is done, diagnoses the stuck state and fails the run.
-  void CheckStuckLocked();
-
-  /// Latches the first diagnosis and publishes `failed_`.
-  void FailLocked(std::string message);
-
-  /// "worker 2: recv-wait(src=0, tag=7) at iter 3 after 41 ops" plus the
-  /// trailing op log, one op per line.
-  std::string DescribeWorkerLocked(int rank) const;
+  /// "-- worker 2 op trace (iter 3, 41 ops total, last 12 shown):" plus
+  /// the trailing op log, one op per line.
+  std::string DescribeWorker(int rank) const;
 
   const int num_workers_;
-  /// Guards all checker state below. A leaf in the lock order: held only
-  /// inside hook calls, never while taking an engine/network mutex.
-  mutable lockcheck::OrderedMutex mu_{"simnet.protocol"};
   std::vector<Worker> workers_;
-  std::vector<std::deque<PendingSend>> channels_;  // [src * P + dst]
-
-  /// Written once (under `mu_`) before `failed_` is published with release
-  /// order; immutable afterwards, so readers need no lock.
   Status status_;
-  std::atomic<bool> failed_{false};
+  bool failed_ = false;
 };
 
 }  // namespace spardl

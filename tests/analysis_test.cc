@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +18,7 @@
 #include "dl/grad_profile.h"
 #include "obs/analysis.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "simnet/cluster.h"
 #include "topo/topology_spec.h"
 
@@ -89,9 +91,9 @@ TEST(CriticalPathTest, IdentityOnFlatClosedForm) {
   RunSparDl(cluster, /*iterations=*/2);
   const CriticalPathReport report = ExtractCriticalPath(cluster);
   CheckIdentity(cluster, report);
-  // The flat closed form decomposes into alpha + serialize — no opaque
-  // network segments, no queueing.
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kNetwork)],
+  // The flat closed form decomposes into alpha + serialize — no
+  // queueing.
+  EXPECT_GT(report.by_kind[static_cast<size_t>(SegmentKind::kLinkAlpha)],
             0.0);
   EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kLinkQueue)],
             0.0);
@@ -115,7 +117,7 @@ TEST(CriticalPathTest, IdentityOnContendedFatTreeEvent) {
   EXPECT_GT(
       report.by_kind[static_cast<size_t>(SegmentKind::kLinkSerialize)],
       0.0);
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kNetwork)],
+  EXPECT_GT(report.by_kind[static_cast<size_t>(SegmentKind::kLinkAlpha)],
             0.0);
   EXPECT_GT(report.by_kind[static_cast<size_t>(SegmentKind::kCompute)],
             0.0);
@@ -140,6 +142,24 @@ TEST(CriticalPathTest, ChainIdenticalOnBothBackends) {
     }
     EXPECT_EQ(json[0], json[1]) << spec.Describe();
   }
+}
+
+// A receive whose flow carries no per-hop record (as for a flow resolved
+// before tracing attached) cannot be explained, so the chain breaks and
+// the report says so instead of attributing the wait to some segment.
+TEST(CriticalPathTest, FlowWithoutHopRecordBreaksTheChain) {
+  Cluster cluster(ContendedFatTree());
+  TraceRecorder& tracer = cluster.EnableTracing();
+  RunSparDl(cluster, /*iterations=*/1);
+  const CriticalPathReport intact = ExtractCriticalPath(cluster);
+  CheckIdentity(cluster, intact);
+  ASSERT_FALSE(intact.by_link.empty());  // the path crosses real flows
+
+  std::vector<uint64_t> keys;
+  for (const auto& [key, flow] : tracer.flow_records()) keys.push_back(key);
+  for (const uint64_t key : keys) tracer.RecordFlow(key, FlowRecord{});
+  const CriticalPathReport broken = ExtractCriticalPath(cluster);
+  EXPECT_FALSE(broken.identity_ok);
 }
 
 TEST(CriticalPathTest, NoTracingYieldsEmptyNonOkReport) {

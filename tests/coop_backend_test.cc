@@ -279,7 +279,7 @@ TEST_P(BackendProtocolTest, TagMismatchIsDiagnosed) {
   });
   ASSERT_FALSE(status.ok());
   const std::string message = status.ToString();
-  EXPECT_NE(message.find("tag"), std::string::npos) << message;
+  EXPECT_NE(message.find("tag mismatch"), std::string::npos) << message;
   EXPECT_NE(message.find("op trace"), std::string::npos) << message;
 }
 
@@ -363,7 +363,7 @@ TEST(ThreadBackendDeathTest, WaitTimesOutWhilePeerNeverBlocks) {
 void AwaitFirstWait(const Scheduler& scheduler, const EventEngine& engine) {
   for (;;) {
     {
-      std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+      std::lock_guard<std::mutex> lock(engine.mu());
       if (scheduler.stats().predicate_evals > 0) return;
     }
     std::this_thread::yield();
@@ -381,12 +381,12 @@ TEST(CoopSchedulerTest, NotifiedWaiterWakes) {
     bool flag = false;
     scheduler.Run(backend, 2, engine, [&](int rank) {
       if (rank == 0) {
-        std::unique_lock<lockcheck::OrderedMutex> lock(engine.mu());
+        std::unique_lock<std::mutex> lock(engine.mu());
         scheduler.Wait(0, lock, [&] { return flag; }, /*timeout_seconds=*/60,
                        [] { return std::string("waiting on flag"); });
       } else {
         AwaitFirstWait(scheduler, engine);
-        std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+        std::lock_guard<std::mutex> lock(engine.mu());
         flag = true;
         scheduler.Notify(0);
       }
@@ -414,13 +414,13 @@ TEST(CoopBackendDeathTest, MissedNotifyIsDiagnosedAsLostWakeup) {
           bool flag = false;
           scheduler.Run(backend, 2, engine, [&](int rank) {
             if (rank == 0) {
-              std::unique_lock<lockcheck::OrderedMutex> lock(engine.mu());
+              std::unique_lock<std::mutex> lock(engine.mu());
               scheduler.Wait(0, lock, [&] { return flag; },
                              /*timeout_seconds=*/60,
                              [] { return std::string("waiting on flag"); });
             } else {
               AwaitFirstWait(scheduler, engine);
-              std::lock_guard<lockcheck::OrderedMutex> lock(engine.mu());
+              std::lock_guard<std::mutex> lock(engine.mu());
               flag = true;  // bug under test: no scheduler.Notify(0)
             }
           });

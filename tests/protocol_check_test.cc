@@ -1,12 +1,15 @@
 // SPMD protocol-verifier tests: deliberately divergent worker programs
 // (mismatched tag, unequal round counts, wrong team size, mixed barrier
-// kinds) must come back from `Cluster::Run` as a diagnostic `Status`
-// naming both workers' op traces — within one barrier, never by dying in
-// the scheduler's stall diagnosis, which shows only each worker's pending
-// wait. Each run keeps a short wall-clock wait bound anyway, so a detector
-// regression fails the test loudly instead of stalling the suite.
+// kinds, a message nobody receives) must come back from `Cluster::Run` as
+// a diagnostic `Status` that names the divergence class and the involved
+// workers' op traces — never by dying in the scheduler's stall dump, which
+// shows only each worker's pending wait. Each run keeps a short wall-clock
+// wait bound anyway, so a detector regression fails the test loudly
+// instead of stalling the suite.
 
 #include "simnet/protocol_check.h"
+
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <memory>
@@ -20,6 +23,15 @@
 #include "topo/topology.h"
 #include "topo/topology_spec.h"
 
+// Sanitizers inflate memory, and TSan compiles the fiber carrier out.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SPARDL_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SPARDL_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace spardl {
 namespace {
 
@@ -28,10 +40,10 @@ namespace {
 /// resolve them.
 enum class Fabric { kFlat, kContended };
 
-/// Every divergence case runs on both receive arms, so interrupts and
-/// deadlock diagnosis are covered whether the blocked receive waits on a
-/// missing packet or on an unresolved flow (the `_fiber` twins repeat
-/// both on the cooperative backend).
+/// Every divergence case runs on both receive arms, so the stall-time
+/// diagnosis and the unwinding of every waiter are covered whether the
+/// blocked receive waits on a missing packet or on an unresolved flow
+/// (the `_fiber` twins repeat both on the cooperative backend).
 class ProtocolCheckTest : public ::testing::TestWithParam<Fabric> {
  protected:
   static constexpr int kWorkers = 4;
@@ -92,7 +104,7 @@ TEST_P(ProtocolCheckTest, MismatchedTagIsDiagnosed) {
   const std::string message = status.ToString();
   // The diagnosis names the tag mismatch and prints both involved
   // workers' op traces.
-  EXPECT_NE(message.find("tag"), std::string::npos) << message;
+  EXPECT_NE(message.find("tag mismatch"), std::string::npos) << message;
   EXPECT_NE(message.find("worker 0 op trace"), std::string::npos) << message;
   EXPECT_NE(message.find("worker 1 op trace"), std::string::npos) << message;
 }
@@ -113,6 +125,8 @@ TEST_P(ProtocolCheckTest, UnequalRoundCountsAreDiagnosed) {
   });
   ASSERT_FALSE(status.ok());
   const std::string message = status.ToString();
+  EXPECT_NE(message.find("peer finished early"), std::string::npos)
+      << message;
   EXPECT_NE(message.find("op trace"), std::string::npos) << message;
 }
 
@@ -129,10 +143,14 @@ TEST_P(ProtocolCheckTest, WrongTeamSizeIsDiagnosed) {
   });
   ASSERT_FALSE(status.ok());
   const std::string message = status.ToString();
+  EXPECT_NE(message.find("peer finished early"), std::string::npos)
+      << message;
   EXPECT_NE(message.find("op trace"), std::string::npos) << message;
 }
 
 TEST_P(ProtocolCheckTest, MixedBarrierKindsFailImmediately) {
+  // "Immediately" means at the first stall: the mismatch is diagnosed
+  // once every worker is blocked, not when the second kind is entered.
   auto cluster = MakeCluster();
   const Status status = cluster->Run([](Comm& comm) {
     if (comm.rank() == 0) {
@@ -143,7 +161,8 @@ TEST_P(ProtocolCheckTest, MixedBarrierKindsFailImmediately) {
   });
   ASSERT_FALSE(status.ok());
   const std::string message = status.ToString();
-  EXPECT_NE(message.find("barrier"), std::string::npos) << message;
+  EXPECT_NE(message.find("collective mismatch"), std::string::npos)
+      << message;
   EXPECT_NE(message.find("op trace"), std::string::npos) << message;
 }
 
@@ -160,6 +179,7 @@ TEST_P(ProtocolCheckTest, UnconsumedSendAtClockSyncIsDiagnosed) {
   });
   ASSERT_FALSE(status.ok());
   const std::string message = status.ToString();
+  EXPECT_NE(message.find("peer asymmetry"), std::string::npos) << message;
   EXPECT_NE(message.find("unmatched"), std::string::npos) << message;
 }
 
@@ -188,32 +208,82 @@ INSTANTIATE_TEST_SUITE_P(Engines, ProtocolCheckTest,
                                       : std::string("EventOrdered");
                          });
 
-/// Non-cluster unit coverage of the checker's bookkeeping.
+// The checker keeps O(P) state: a conforming P = 1024 fiber run with
+// checking on stays far below what a P^2 per-pair shadow of the mailboxes
+// costs (hundreds of MB at this P).
+TEST(ProtocolCheckerMemoryTest, CheckedRunAtP1024StaysSmall) {
+#ifdef SPARDL_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer builds inflate RSS and TSan has no fibers";
+#else
+  constexpr int kWorkers = 1024;
+  Cluster cluster(TopologySpec::Flat(kWorkers, CostModel{1e-3, 1e-6}));
+  cluster.set_exec_backend(ExecBackend::kFiber);
+  cluster.EnableProtocolCheck();
+  const Status status = cluster.Run([](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    comm.Send(next, OneWord());
+    (void)comm.Recv(prev);
+    comm.Barrier();
+    comm.MarkIteration();
+    comm.BarrierSyncClocks();
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 256L * 1024) << "peak RSS in KiB";
+#endif
+}
+
+/// Non-cluster unit coverage of the checker's bookkeeping and latch.
+std::vector<int> NoQueuedTags(int, int) { return {}; }
+
 TEST(ProtocolCheckerUnitTest, StatusIsOkUntilDiagnosis) {
   ProtocolChecker checker(2);
   checker.BeginRun();
   checker.OnSend(0, 1, /*tag=*/0, /*words=*/4);
   checker.OnRecvPosted(1, 0, /*tag=*/0);
-  checker.OnRecvMatched(1, 0, /*tag=*/0, /*words=*/4);
-  checker.OnWorkerDone(0);
-  checker.OnWorkerDone(1);
+  checker.OnRecvMatched(1, /*words=*/4);
+  for (int rank = 0; rank < 2; ++rank) {
+    checker.OnBarrierEnter(rank, /*clock_sync=*/true);
+    checker.OnIteration(rank);
+  }
+  for (int rank = 0; rank < 2; ++rank) checker.OnBarrierDone(rank);
   EXPECT_FALSE(checker.failed());
   EXPECT_TRUE(checker.status().ok());
+  // Only the stall diagnoses: worker 1 then waits on worker 0, which has
+  // no recorded wait, so it returned.
+  checker.OnRecvPosted(1, 0, /*tag=*/5);
+  checker.DiagnoseDeadlock(NoQueuedTags);
+  ASSERT_TRUE(checker.failed());
+  const std::string message = checker.status().ToString();
+  EXPECT_NE(message.find("peer finished early"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("worker 1 op trace (iter 1, 3 ops total"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("#1 recv(src=0, tag=0, words=4) @iter0"),
+            std::string::npos)
+      << message;
 }
 
 TEST(ProtocolCheckerUnitTest, FirstDiagnosisWins) {
   ProtocolChecker checker(2);
   checker.BeginRun();
-  // Worker 1 waits on tag 9 while tag 7 sits on the channel; worker 0 is
-  // done -> stuck, diagnosed as a tag mismatch.
+  // Worker 1 waits on tag 9 while worker 0's mailbox to it holds tag 7;
+  // worker 0 returned -> a tag mismatch.
   checker.OnSend(0, 1, /*tag=*/7, /*words=*/1);
-  checker.OnWorkerDone(0);
   checker.OnRecvPosted(1, 0, /*tag=*/9);
+  checker.DiagnoseDeadlock([](int src, int dst) {
+    return src == 0 && dst == 1 ? std::vector<int>{7} : std::vector<int>{};
+  });
   ASSERT_TRUE(checker.failed());
   const std::string first = checker.status().ToString();
-  EXPECT_NE(first.find("tag"), std::string::npos) << first;
-  // Later events must not replace the latched diagnosis.
-  checker.OnWorkerDone(1);
+  EXPECT_NE(first.find("tag mismatch"), std::string::npos) << first;
+  EXPECT_NE(first.find("tag(s) [7]"), std::string::npos) << first;
+  // Later diagnoses must not replace the latched one.
+  checker.FailPeerAsymmetry(0, 1, /*count=*/1, /*tag=*/7, /*words=*/1);
+  checker.DiagnoseDeadlock(NoQueuedTags);
   EXPECT_EQ(checker.status().ToString(), first);
 }
 
@@ -221,10 +291,10 @@ TEST(ProtocolCheckerUnitTest, BeginRunAfterFailureDies) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   ProtocolChecker checker(2);
   checker.BeginRun();
-  checker.OnWorkerDone(0);
-  checker.OnRecvPosted(1, 0, /*tag=*/0);  // peer done, recv unsatisfiable
+  checker.OnRecvPosted(1, 0, /*tag=*/0);  // peer returned, recv unsatisfiable
+  checker.DiagnoseDeadlock(NoQueuedTags);
   ASSERT_TRUE(checker.failed());
-  ASSERT_DEATH(checker.BeginRun(), "");
+  ASSERT_DEATH(checker.BeginRun(), "reused after a violation");
 }
 
 }  // namespace
