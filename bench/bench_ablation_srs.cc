@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "collectives/sparse_allgather.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/spar_reduce_scatter.h"
@@ -45,19 +46,20 @@ void LazyVsEager(const bench::HarnessArgs& args) {
   for (bool lazy : {false, true}) {
     Cluster cluster(
         *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-    bench::ApplyExecBackend(cluster);
+    bench::PrepareCluster(cluster);
     const double wall = WallSeconds([&] {
       for (int iter = 0; iter < iterations; ++iter) {
-        cluster.Run([&](Comm& comm) {
+        SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
           SrsOptions options;
           options.k = k;
           options.lazy_sparsify = lazy;
           SparReduceScatter(comm, CommGroup::World(comm),
                             grads[static_cast<size_t>(comm.rank())],
                             options, nullptr);
-        });
+        }));
       }
     });
+    bench::ObserveRun(cluster, lazy ? "srs lazy" : "srs eager");
     table.AddRow({lazy ? "lazy (paper optimisation)" : "eager",
                   StrFormat("%.3f", wall / iterations),
                   StrFormat("%lu", static_cast<unsigned long>(
@@ -78,12 +80,13 @@ void BruckVsRecursiveDoubling(const bench::HarnessArgs& args) {
                                : std::vector<int>{8, 12, 14};
   for (int p : sweep) {
     Cluster cluster(p, CostModel::Ethernet());
-    bench::ApplyExecBackend(cluster);
-    cluster.Run([&](Comm& comm) {
+    bench::PrepareCluster(cluster);
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       SparseVector mine;
       mine.PushBack(static_cast<GradIndex>(comm.rank()), 1.0f);
       BruckAllGather(comm, CommGroup::World(comm), std::move(mine));
-    });
+    }));
+    bench::ObserveRun(cluster, StrFormat("bruck allgather P=%d", p));
     table.AddRow({StrFormat("%d", p),
                   StrFormat("%lu", static_cast<unsigned long>(
                                        cluster.MaxMessagesReceived())),

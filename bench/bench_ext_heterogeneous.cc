@@ -10,20 +10,24 @@
 
 #include "baselines/registry.h"
 #include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
 #include "simnet/cluster.h"
+#include "topo/topology_spec.h"
 
 namespace spardl {
 namespace {
 
-// Per-update makespan (max worker clock / iterations). `slowdown` > 1
-// gives worker p/2 a slower network path; `compute_mult` > 0 switches on
-// compute charging (every worker pays the profile's forward+backward
-// time) with worker p/2's compute scaled by `compute_mult` — the
-// compute-side straggler the paper's §VI leaves to future work.
-double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
+// Per-update makespan (max worker clock / iterations) on the --topology
+// fabric (flat by default). `slowdown` > 1 gives worker p/2 a slower
+// network path; `compute_mult` > 0 switches on compute charging (every
+// worker pays the profile's forward+backward time) with worker p/2's
+// compute scaled by `compute_mult` — the compute-side straggler the
+// paper's §VI leaves to future work.
+double PerUpdateSeconds(const bench::HarnessArgs& args,
+                        const std::string& algo, int p, double slowdown,
                         double compute_mult, int iterations) {
   const ModelProfile& profile = ProfileByModel("VGG-19");
   const size_t n = profile.num_params;
@@ -34,8 +38,9 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
   config.num_workers = p;
   config.residual_mode = ResidualMode::kNone;
 
-  Cluster cluster(p, CostModel::Ethernet());
-  bench::ApplyExecBackend(cluster);
+  Cluster cluster(
+      *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
+  bench::PrepareCluster(cluster);
   if (slowdown > 1.0) cluster.network().SetWorkerSlowdown(p / 2, slowdown);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -48,7 +53,7 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
   }
   for (int iter = 0; iter < 1 + iterations; ++iter) {
     if (iter == 1) cluster.ResetClocksAndStats();
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       if (generator.has_compute_skew()) {
         comm.Compute(generator.ComputeSeconds(comm.rank(),
                                               profile.compute_seconds));
@@ -57,8 +62,13 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
           generator.Generate(comm.rank(), iter, k + k / 2);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm, candidates);
       comm.BarrierSyncClocks();
-    });
+    }));
   }
+  bench::ObserveRun(
+      cluster, StrFormat("%s net %gx", algo.c_str(), slowdown) +
+                   (compute_mult > 0.0
+                        ? StrFormat(" compute %gx", compute_mult)
+                        : std::string()));
   return cluster.MaxSimSeconds() / static_cast<double>(iterations);
 }
 
@@ -79,9 +89,9 @@ int main(int argc, char** argv) {
   for (const std::string& algo :
        {std::string("topkdsa"), std::string("topka"), std::string("oktopk"),
         std::string("spardl")}) {
-    const double base = PerUpdateSeconds(algo, p, 1.0, 0.0, iters);
-    const double slow4 = PerUpdateSeconds(algo, p, 4.0, 0.0, iters);
-    const double slow16 = PerUpdateSeconds(algo, p, 16.0, 0.0, iters);
+    const double base = PerUpdateSeconds(args, algo, p, 1.0, 0.0, iters);
+    const double slow4 = PerUpdateSeconds(args, algo, p, 4.0, 0.0, iters);
+    const double slow16 = PerUpdateSeconds(args, algo, p, 16.0, 0.0, iters);
     table.AddRow({algo, StrFormat("%.4f", base), StrFormat("%.4f", slow4),
                   StrFormat("%.4f", slow16),
                   StrFormat("%.1fx", slow16 / base)});
@@ -101,9 +111,9 @@ int main(int argc, char** argv) {
   for (const std::string& algo :
        {std::string("topkdsa"), std::string("topka"), std::string("oktopk"),
         std::string("spardl")}) {
-    const double base = PerUpdateSeconds(algo, p, 1.0, 1.0, iters);
-    const double slow4 = PerUpdateSeconds(algo, p, 1.0, 4.0, iters);
-    const double slow16 = PerUpdateSeconds(algo, p, 1.0, 16.0, iters);
+    const double base = PerUpdateSeconds(args, algo, p, 1.0, 1.0, iters);
+    const double slow4 = PerUpdateSeconds(args, algo, p, 1.0, 4.0, iters);
+    const double slow16 = PerUpdateSeconds(args, algo, p, 1.0, 16.0, iters);
     compute_table.AddRow(
         {algo, StrFormat("%.4f", base), StrFormat("%.4f", slow4),
          StrFormat("%.4f", slow16), StrFormat("%.1fx", slow16 / base)});

@@ -4,9 +4,11 @@
 // the error feedback absorbs the quantization noise.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "metrics/table.h"
 #include "train_util.h"
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
     config.value_bits = bits;
     Cluster cluster(
         *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-    bench::ApplyExecBackend(cluster);
+    bench::PrepareCluster(cluster);
     std::vector<std::unique_ptr<SparseAllReduce>> algos(
         static_cast<size_t>(p));
     for (int r = 0; r < p; ++r) {
@@ -44,14 +46,15 @@ int main(int argc, char** argv) {
     const ProfileGradientGenerator generator(n, 2024);
     for (int iter = 0; iter < 2; ++iter) {
       if (iter == 1) cluster.ResetClocksAndStats();
-      cluster.Run([&](Comm& comm) {
+      SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
         const SparseVector candidates =
             generator.Generate(comm.rank(), iter, k + k / 2);
         algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                              candidates);
         comm.BarrierSyncClocks();
-      });
+      }));
     }
+    bench::ObserveRun(cluster, std::string(algos[0]->name()));
     double comm_seconds = 0.0;
     uint64_t words = 0;
     for (int r = 0; r < p; ++r) {

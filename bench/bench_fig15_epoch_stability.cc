@@ -12,6 +12,7 @@
 
 #include "baselines/registry.h"
 #include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
@@ -37,7 +38,7 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
 
   Cluster cluster(
       *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-  bench::ApplyExecBackend(cluster);
+  bench::PrepareCluster(cluster);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -50,17 +51,19 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const double before = cluster.MaxSimSeconds();
     for (int i = 0; i < iters_per_epoch; ++i, ++iteration) {
-      cluster.Run([&](Comm& comm) {
+      SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
         const SparseVector candidates = generator.Generate(
             comm.rank(), iteration, k + k / 2);
         algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                              candidates);
         comm.BarrierSyncClocks();
-      });
+      }));
     }
     times.push_back(cluster.MaxSimSeconds() - before +
                     profile.compute_seconds * iters_per_epoch);
   }
+  bench::ObserveRun(cluster,
+                    std::string(algos[0]->name()) + StrFormat(" P=%d", p));
   return times;
 }
 

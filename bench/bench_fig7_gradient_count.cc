@@ -5,14 +5,18 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "core/spardl.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
 #include "simnet/cluster.h"
+#include "topo/placement.h"
+#include "topo/topology_spec.h"
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
@@ -35,6 +39,11 @@ int main(int argc, char** argv) {
   const size_t n = 2'000'000;
   const size_t k = 20'000;  // k/n = 1e-2
   const int iterations = args.iterations_or(400);
+  // Free links: the union counts depend on which ranks share a team, not
+  // on link costs, so --topology matters only through the team layout
+  // that --placement plans on it.
+  const TopologySpec fabric = *args.TopologyOr(
+      TopologySpec::Flat(p, CostModel::Free()), p, CostModel::Free());
 
   std::printf(
       "== Fig. 7: gradients after inter-team Bruck all-gather (B-SAG) ==\n"
@@ -49,9 +58,13 @@ int main(int argc, char** argv) {
   config.num_teams = d;
   config.sag_mode = SagMode::kBruck;
   config.residual_mode = ResidualMode::kNone;
+  auto placement = PlanPlacement(
+      fabric, p, d, args.placement_or(PlacementPolicy::kContiguous));
+  SPARDL_CHECK(placement.ok()) << placement.status().ToString();
+  config.placement = std::move(*placement);
 
-  Cluster cluster(p, CostModel::Free());
-  bench::ApplyExecBackend(cluster);
+  Cluster cluster(fabric);
+  bench::PrepareCluster(cluster);
   std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
     algos[static_cast<size_t>(r)] = std::move(*SparDL::Create(config));
@@ -61,15 +74,16 @@ int main(int argc, char** argv) {
   std::vector<double> series;
   series.reserve(static_cast<size_t>(iterations));
   for (int iter = 0; iter < iterations; ++iter) {
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       const SparseVector candidates =
           generator.Generate(comm.rank(), iter, 2 * k);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                            candidates);
-    });
+    }));
     series.push_back(
         static_cast<double>(algos[0]->last_bsag_union()));
   }
+  bench::ObserveRun(cluster, std::string(algos[0]->name()));
 
   TablePrinter table({"batch", "union nnz", "target L=dk/P"});
   const size_t target = d * k / p;
@@ -80,7 +94,15 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // Slow-change statistic: mean |relative step-to-step change|.
+  // Slow-change statistic: mean |relative step-to-step change|, which
+  // needs at least one step.
+  if (series.size() < 2) {
+    std::printf(
+        "Mean batch-to-batch relative change: not computed (a change needs "
+        "at least 2 batches; this run had %zu).\n",
+        series.size());
+    return 0;
+  }
   double change = 0.0;
   double max_change = 0.0;
   for (size_t i = 1; i < series.size(); ++i) {

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "metrics/table.h"
 #include "obs/analysis.h"
 #include "obs/exporters.h"
 
@@ -20,46 +19,25 @@ constexpr const char* kFlagHelp =
     "(supported flags: --workers N, --iterations N, --topology SPEC, "
     "--backend thread|fiber, "
     "--placement contiguous|rack|interleaved, "
-    "--trace-out PATH, --metrics-out PATH, --metrics-csv PATH, "
-    "--timeseries-out PATH, --protocol-check; env "
-    "SPARDL_BENCH_WORKERS, SPARDL_BENCH_ITERATIONS, SPARDL_BENCH_TOPOLOGY, "
-    "SPARDL_BENCH_PLACEMENT, "
-    "SPARDL_BENCH_TRACE_OUT, "
-    "SPARDL_BENCH_METRICS_OUT, SPARDL_BENCH_METRICS_CSV, "
-    "SPARDL_BENCH_TIMESERIES_OUT, SPARDL_BENCH_PROTOCOL_CHECK)";
+    "--trace-out PATH, --metrics-out PATH, --timeseries-out PATH, "
+    "--protocol-check)";
 
-/// Process-global observability sinks, installed by `ParseHarnessArgs`.
-/// A plain static: bench mains are single-threaded at parse/observe time.
-struct ObsConfig {
-  std::optional<std::string> trace_out;
-  std::optional<std::string> metrics_out;
-  std::optional<std::string> metrics_csv;
-  std::optional<std::string> timeseries_out;
+/// The last parsed harness flags plus every run observed so far,
+/// installed by `ParseHarnessArgs`. A plain static: bench mains are
+/// single-threaded at parse/prepare/observe time.
+struct HarnessState {
+  HarnessArgs args;
   std::vector<RunMetrics> runs;
 
-  bool enabled() const {
-    return trace_out.has_value() || metrics_out.has_value() ||
-           metrics_csv.has_value() || timeseries_out.has_value();
+  bool observing() const {
+    return args.trace_out.has_value() || args.metrics_out.has_value() ||
+           args.timeseries_out.has_value();
   }
 };
 
-ObsConfig& GlobalObs() {
-  static ObsConfig config;
-  return config;
-}
-
-/// Process-global `--protocol-check` switch, installed by
-/// `ParseHarnessArgs` (same single-threaded contract as `ObsConfig`).
-bool& GlobalProtocolCheck() {
-  static bool enabled = false;
-  return enabled;
-}
-
-/// Process-global `--backend` override, installed by `ParseHarnessArgs`
-/// (nullopt = keep each cluster's process default).
-std::optional<ExecBackend>& GlobalExecBackend() {
-  static std::optional<ExecBackend> backend;
-  return backend;
+HarnessState& GlobalHarness() {
+  static HarnessState state;
+  return state;
 }
 
 [[noreturn]] void DieWriteFailure(const std::string& path) {
@@ -85,23 +63,6 @@ int ParseIntOrDie(const char* what, const char* text) {
   return static_cast<int>(value);
 }
 
-// Parses "--<name>=V" or "--<name> V" at argv[i]; advances i past
-// consumed tokens.
-std::optional<int> MatchIntFlag(const char* name, int argc, char** argv,
-                                int* i) {
-  const char* arg = argv[*i];
-  const std::string flag = std::string("--") + name;
-  if (std::strncmp(arg, (flag + "=").c_str(), flag.size() + 1) == 0) {
-    return ParseIntOrDie(flag.c_str(), arg + flag.size() + 1);
-  }
-  if (flag != arg) return std::nullopt;
-  if (*i + 1 >= argc || std::strncmp(argv[*i + 1], "--", 2) == 0) {
-    DieBadValue(flag.c_str(), "<missing>");
-  }
-  ++*i;
-  return ParseIntOrDie(flag.c_str(), argv[*i]);
-}
-
 [[noreturn]] void DieMissingValue(const char* what) {
   std::fprintf(stderr, "missing value for %s %s\n", what, kFlagHelp);
   std::exit(2);
@@ -124,6 +85,13 @@ std::optional<std::string> MatchStringFlag(const char* name, int argc,
   return std::string(argv[*i]);
 }
 
+std::optional<int> MatchIntFlag(const char* name, int argc, char** argv,
+                                int* i) {
+  const auto text = MatchStringFlag(name, argc, argv, i);
+  if (!text.has_value()) return std::nullopt;
+  return ParseIntOrDie((std::string("--") + name).c_str(), text->c_str());
+}
+
 PlacementPolicy ParsePlacementOrDie(const std::string& text) {
   auto parsed = ParsePlacementPolicy(text);
   if (!parsed.ok()) {
@@ -143,35 +111,10 @@ ExecBackend ParseBackendOrDie(const std::string& text) {
   std::exit(2);
 }
 
-std::optional<int> EnvInt(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  return ParseIntOrDie(name, value);
-}
-
-std::optional<std::string> EnvString(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  return std::string(value);
-}
-
 }  // namespace
 
 HarnessArgs ParseHarnessArgs(int argc, char** argv) {
   HarnessArgs args;
-  args.workers = EnvInt("SPARDL_BENCH_WORKERS");
-  args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
-  args.topology = EnvString("SPARDL_BENCH_TOPOLOGY");
-  if (auto placement = EnvString("SPARDL_BENCH_PLACEMENT")) {
-    args.placement = ParsePlacementOrDie(*placement);
-  }
-  args.trace_out = EnvString("SPARDL_BENCH_TRACE_OUT");
-  args.metrics_out = EnvString("SPARDL_BENCH_METRICS_OUT");
-  args.metrics_csv = EnvString("SPARDL_BENCH_METRICS_CSV");
-  args.timeseries_out = EnvString("SPARDL_BENCH_TIMESERIES_OUT");
-  if (auto check = EnvString("SPARDL_BENCH_PROTOCOL_CHECK")) {
-    args.protocol_check = (*check != "0");
-  }
   for (int i = 1; i < argc; ++i) {
     if (auto workers = MatchIntFlag("workers", argc, argv, &i)) {
       args.workers = *workers;
@@ -187,121 +130,54 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
       args.trace_out = *trace;
     } else if (auto metrics = MatchStringFlag("metrics-out", argc, argv, &i)) {
       args.metrics_out = *metrics;
-    } else if (auto csv = MatchStringFlag("metrics-csv", argc, argv, &i)) {
-      args.metrics_csv = *csv;
     } else if (auto ts = MatchStringFlag("timeseries-out", argc, argv, &i)) {
       args.timeseries_out = *ts;
     } else if (std::strcmp(argv[i], "--protocol-check") == 0) {
       args.protocol_check = true;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' %s\n", argv[i], kFlagHelp);
+    } else {
+      std::fprintf(stderr, "unknown %s '%s' %s\n",
+                   std::strncmp(argv[i], "--", 2) == 0 ? "flag" : "argument",
+                   argv[i], kFlagHelp);
       std::exit(2);
     }
   }
-  ObsConfig& obs = GlobalObs();
-  obs.trace_out = args.trace_out;
-  obs.metrics_out = args.metrics_out;
-  obs.metrics_csv = args.metrics_csv;
-  obs.timeseries_out = args.timeseries_out;
-  GlobalProtocolCheck() = args.protocol_check;
-  GlobalExecBackend() = args.backend;
+  GlobalHarness().args = args;
   return args;
 }
 
-bool ObservabilityEnabled() { return GlobalObs().enabled(); }
-
-void MaybeEnableObservability(Cluster& cluster) {
-  if (ObservabilityEnabled()) cluster.EnableTracing();
-}
-
-bool ProtocolCheckEnabled() { return GlobalProtocolCheck(); }
-
-void MaybeEnableProtocolCheck(Cluster& cluster) {
-  if (ProtocolCheckEnabled()) cluster.EnableProtocolCheck();
-}
-
-void ApplyExecBackend(Cluster& cluster) {
-  if (GlobalExecBackend().has_value()) {
-    cluster.set_exec_backend(*GlobalExecBackend());
+void PrepareCluster(Cluster& cluster) {
+  const HarnessState& state = GlobalHarness();
+  if (state.args.backend.has_value()) {
+    cluster.set_exec_backend(*state.args.backend);
   }
+  if (state.observing()) cluster.EnableTracing();
+  if (state.args.protocol_check) cluster.EnableProtocolCheck();
 }
-
-namespace {
-
-/// Per-run numeric series for the CSV sink: one column per metric, one
-/// row per observed run (run order matches the metrics JSON).
-void WriteMetricsCsvOrDie(const std::string& path,
-                          const std::vector<RunMetrics>& runs) {
-  std::vector<std::string> names = {"makespan_seconds", "comm_seconds",
-                                    "compute_seconds", "busiest_link_util"};
-  for (size_t i = 0; i < kNumPhases; ++i) {
-    const Phase phase = static_cast<Phase>(i);
-    if (phase == Phase::kLink || phase == Phase::kNumPhases) continue;
-    names.push_back("phase_" + std::string(PhaseName(phase)) + "_seconds");
-  }
-  std::vector<std::vector<double>> columns(names.size());
-  for (const RunMetrics& run : runs) {
-    size_t c = 0;
-    columns[c++].push_back(run.makespan_seconds);
-    columns[c++].push_back(run.total.comm_seconds);
-    columns[c++].push_back(run.total.compute_seconds);
-    columns[c++].push_back(run.links.empty() ? 0.0
-                                             : run.links[0].utilization);
-    for (size_t i = 0; i < kNumPhases; ++i) {
-      const Phase phase = static_cast<Phase>(i);
-      if (phase == Phase::kLink || phase == Phase::kNumPhases) continue;
-      columns[c++].push_back(run.total.phase_seconds[i]);
-    }
-  }
-  if (!WriteCsv(path, names, columns)) DieWriteFailure(path);
-}
-
-// `SPARDL_STRAGGLER_FACTOR`: a worker is a straggler when its mean
-// iteration wall time exceeds this multiple of the cross-worker median.
-double StragglerFactorFromEnv() {
-  const char* value = std::getenv("SPARDL_STRAGGLER_FACTOR");
-  if (value == nullptr || *value == '\0') return kDefaultStragglerFactor;
-  char* end = nullptr;
-  const double factor = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(factor > 0.0)) {
-    std::fprintf(stderr,
-                 "bad value '%s' for SPARDL_STRAGGLER_FACTOR: want a "
-                 "positive number\n",
-                 value);
-    std::exit(2);
-  }
-  return factor;
-}
-
-}  // namespace
 
 void ObserveRun(Cluster& cluster, const std::string& label) {
-  ObsConfig& obs = GlobalObs();
-  if (!obs.enabled()) return;
-  obs.runs.push_back(CollectRunMetrics(cluster, label));
-  RunMetrics& run = obs.runs.back();
+  HarnessState& state = GlobalHarness();
+  if (!state.observing()) return;
+  const HarnessArgs& args = state.args;
+  state.runs.push_back(CollectRunMetrics(cluster, label));
+  RunMetrics& run = state.runs.back();
   const CriticalPathReport report = ExtractCriticalPath(cluster);
   const std::vector<WhatIfResult> what_ifs = EstimateWhatIfs(report, cluster);
   run.analysis_json = AnalysisJson(report, what_ifs);
-  const TimeSeriesReport series =
-      BuildTimeSeries(cluster, StragglerFactorFromEnv());
-  if (obs.trace_out.has_value() &&
-      !WriteTextFile(*obs.trace_out, ChromeTraceJson(cluster))) {
-    DieWriteFailure(*obs.trace_out);
+  const TimeSeriesReport series = BuildTimeSeries(cluster);
+  if (args.trace_out.has_value() &&
+      !WriteTextFile(*args.trace_out, ChromeTraceJson(cluster))) {
+    DieWriteFailure(*args.trace_out);
   }
-  if (obs.metrics_out.has_value() &&
-      !WriteTextFile(*obs.metrics_out, RunMetricsJson(obs.runs))) {
-    DieWriteFailure(*obs.metrics_out);
+  if (args.metrics_out.has_value() &&
+      !WriteTextFile(*args.metrics_out, RunMetricsJson(state.runs))) {
+    DieWriteFailure(*args.metrics_out);
   }
-  if (obs.metrics_csv.has_value()) {
-    WriteMetricsCsvOrDie(*obs.metrics_csv, obs.runs);
-  }
-  if (obs.timeseries_out.has_value() &&
-      !WriteTextFile(*obs.timeseries_out, TimeSeriesJson(series, label))) {
-    DieWriteFailure(*obs.timeseries_out);
+  if (args.timeseries_out.has_value() &&
+      !WriteTextFile(*args.timeseries_out, TimeSeriesJson(series, label))) {
+    DieWriteFailure(*args.timeseries_out);
   }
   std::printf("[obs] run %zu '%s' on %s: makespan %.6fs\n",
-              obs.runs.size(), label.c_str(), run.topology.c_str(),
+              state.runs.size(), label.c_str(), run.topology.c_str(),
               run.makespan_seconds);
   if (!run.links.empty()) {
     std::printf("%s", LinkUtilizationTable(run, /*top_n=*/3).c_str());
@@ -385,9 +261,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   config.placement = std::move(*placement);
 
   Cluster cluster(fabric);
-  ApplyExecBackend(cluster);
-  MaybeEnableObservability(cluster);
-  MaybeEnableProtocolCheck(cluster);
+  PrepareCluster(cluster);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(options.num_workers));
   for (int r = 0; r < options.num_workers; ++r) {

@@ -25,39 +25,39 @@ namespace bench {
 ///   --placement=POLICY              team layout (contiguous|rack|interleaved)
 ///   --trace-out=PATH                Chrome trace JSON of the last traced run
 ///   --metrics-out=PATH              structured run-metrics JSON (all runs)
-///   --metrics-csv=PATH              per-run numeric series as CSV
 ///   --timeseries-out=PATH           per-iteration time-series JSON (last run)
+///   --protocol-check                attach the SPMD protocol verifier
 ///
-/// with `SPARDL_BENCH_WORKERS` / `SPARDL_BENCH_ITERATIONS` /
-/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_PLACEMENT` / `SPARDL_BENCH_TRACE_OUT` /
-/// `SPARDL_BENCH_METRICS_OUT` / `SPARDL_BENCH_METRICS_CSV` /
-/// `SPARDL_BENCH_TIMESERIES_OUT` environment variables as defaults
-/// (flag > env > the bench's built-in value), so CI can run the expensive
-/// harnesses at smoke-tier sizes — and on any fabric/team layout,
-/// with artifacts — without editing code. Unknown `--` flags abort with a
-/// usage message; positional args are left for the bench to interpret.
+/// The command line is the only source of these settings
+/// (`SPARDL_EXEC_BACKEND` only sets the process default that `--backend`
+/// overrides). Unknown flags, positional arguments and bad values exit 2
+/// with a usage message.
 ///
-/// `ParseHarnessArgs` registers the four output paths process-globally;
-/// the shared measurement helpers (`MeasurePerUpdate`, `RunTrainingCase`)
-/// then enable tracing and persist artifacts via `ObserveRun` with no
-/// per-bench code.
+/// `ParseHarnessArgs` also installs the parsed flags process-globally.
+/// Every bench that builds a `Cluster` hands it to `PrepareCluster` before
+/// running workers and to `ObserveRun` after its measured run; the shared
+/// measurement helpers (`MeasurePerUpdate`, `RunTrainingCase`) do both
+/// themselves. So `--backend`, `--protocol-check` and the output sinks
+/// reach every cluster. `--workers`, `--iterations`, `--topology` and
+/// `--placement` are read by each bench through the accessors below;
+/// benches whose figure fixes the fabric or has no team layout (e.g.
+/// fig8, fig12, fig18, table1) still ignore the last two.
 struct HarnessArgs {
   std::optional<int> workers;
   std::optional<int> iterations;
   /// A `TopologySpec::Parse` string.
   std::optional<std::string> topology;
   /// `--backend thread|fiber`: worker execution backend for every
-  /// cluster this bench builds (unset = the process default, i.e.
-  /// `SPARDL_EXEC_BACKEND` or thread-per-worker).
+  /// cluster this bench builds (unset = the process default,
+  /// `Cluster::DefaultExecBackend`).
   std::optional<ExecBackend> backend;
   std::optional<PlacementPolicy> placement;
   std::optional<std::string> trace_out;
   std::optional<std::string> metrics_out;
-  std::optional<std::string> metrics_csv;
   std::optional<std::string> timeseries_out;
-  /// `--protocol-check` / `SPARDL_BENCH_PROTOCOL_CHECK=1`: run every
-  /// cluster with the SPMD protocol verifier attached; a diagnosed
-  /// divergence aborts the bench with the verifier's report.
+  /// `--protocol-check`: run every cluster with the SPMD protocol
+  /// verifier attached; a diagnosed divergence aborts the bench with the
+  /// verifier's report.
   bool protocol_check = false;
 
   int workers_or(int fallback) const { return workers.value_or(fallback); }
@@ -78,41 +78,22 @@ struct HarnessArgs {
 
 HarnessArgs ParseHarnessArgs(int argc, char** argv);
 
-/// True once `ParseHarnessArgs` saw any observability sink
-/// (--trace-out / --metrics-out / --metrics-csv / --timeseries-out or
-/// their env defaults).
-bool ObservabilityEnabled();
-
-/// Turns span recording on for `cluster` when observability is enabled
-/// (no-op otherwise). Call after constructing the cluster, before the
-/// measured iterations.
-void MaybeEnableObservability(Cluster& cluster);
-
-/// True once `ParseHarnessArgs` saw `--protocol-check` (or its env
-/// default).
-bool ProtocolCheckEnabled();
-
-/// Attaches the SPMD protocol verifier to `cluster` when
-/// `--protocol-check` was given (no-op otherwise). The shared measurement
-/// helpers call this themselves; benches that build their own clusters
-/// should call it after construction, before running workers.
-void MaybeEnableProtocolCheck(Cluster& cluster);
-
-/// Applies the harness `--backend` selection to `cluster` (no-op when
-/// the flag was not given — the cluster then keeps the process default,
-/// `Cluster::DefaultExecBackend`). Same calling convention as
-/// `MaybeEnableProtocolCheck`: after construction, before running.
-void ApplyExecBackend(Cluster& cluster);
+/// Applies the last parsed harness flags to a freshly built `cluster`:
+/// the `--backend` selection, span recording when any output sink
+/// (--trace-out / --metrics-out / --timeseries-out) was given, and the
+/// protocol verifier under `--protocol-check`. Call after construction,
+/// before running workers.
+void PrepareCluster(Cluster& cluster);
 
 /// Records one finished measurement run against the configured sinks:
 /// appends the run's `RunMetrics` (with its embedded critical-path
-/// analysis) and rewrites the metrics JSON/CSV, and rewrites the Chrome
-/// trace and time-series JSON with this cluster's data (multiple observed
-/// runs: the *last* trace/time-series wins; the metrics files keep every
-/// run). Prints the top-links, critical-path, what-if, and straggler
-/// tables to stdout. The straggler threshold is
-/// `SPARDL_STRAGGLER_FACTOR` (default 1.5). Exits non-zero with a message
-/// on any write failure. No-op when observability is disabled.
+/// analysis) and rewrites the metrics JSON, and rewrites the Chrome trace
+/// and time-series JSON with this cluster's data (multiple observed runs:
+/// the *last* trace/time-series wins; the metrics file keeps every run).
+/// Prints the top-links, critical-path, what-if, and straggler tables to
+/// stdout; a worker is a straggler past `kDefaultStragglerFactor` times
+/// the median. Exits non-zero with a message on any write failure. No-op
+/// when no output sink was given.
 void ObserveRun(Cluster& cluster, const std::string& label);
 
 /// The default fabric sweep shared by `bench_ext_topology` and

@@ -4,8 +4,9 @@
 // Chrome trace of every worker and the hottest links.
 //
 //   $ ./build/examples/trace_explorer [--workers P] [--iterations N]
-//         [--topology SPEC]
+//         [--topology SPEC] [--backend thread|fiber] [--protocol-check]
 //         [--trace-out trace.json] [--metrics-out metrics.json]
+//         [--timeseries-out timeseries.json]
 //
 // Defaults to an oversubscribed two-rack fat-tree — a fabric where the
 // rack-to-core trunk links are the bottleneck, which the link table
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
   config.residual_mode = ResidualMode::kNone;
 
   Cluster cluster(fabric);
+  bench::PrepareCluster(cluster);
   cluster.EnableTracing();  // always on here — tracing is the point
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -61,14 +63,14 @@ int main(int argc, char** argv) {
   const ProfileGradientGenerator generator(n, /*seed=*/2024);
   const size_t candidates_per_worker = k * 3 / 2;
   for (int iter = 0; iter < iterations; ++iter) {
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       const SparseVector candidates =
           generator.Generate(comm.rank(), iter, candidates_per_worker);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                            candidates);
       comm.MarkIteration();  // before the barrier: keep cross-worker skew
       comm.BarrierSyncClocks();
-    });
+    }));
   }
 
   const std::string label(algos[0]->name());
@@ -82,7 +84,7 @@ int main(int argc, char** argv) {
   std::printf("Busiest links:\n%s\n",
               LinkUtilizationTable(metrics).c_str());
 
-  // Persist artifacts when --trace-out / --metrics-out were given.
+  // Persist artifacts when an output sink flag was given.
   bench::ObserveRun(cluster, label);
   return 0;
 }

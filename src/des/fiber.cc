@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -48,26 +47,10 @@ size_t PageBytes() {
 
 }  // namespace
 
-size_t FiberStackBytes() {
-  static const size_t bytes = [] {
-    size_t kb = 256;
-    if (const char* env = std::getenv("SPARDL_FIBER_STACK_KB")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 64) {
-        kb = static_cast<size_t>(parsed);
-      }
-    }
-    return kb * 1024;
-  }();
-  return bytes;
-}
-
-Fiber::Fiber(std::function<void()> fn, size_t stack_bytes)
-    : fn_(std::move(fn)) {
+Fiber::Fiber(std::function<void()> fn) : fn_(std::move(fn)) {
   const size_t page = PageBytes();
   // Round the stack up to whole pages and prepend one guard page.
-  stack_bytes_ = (stack_bytes + page - 1) / page * page;
+  stack_bytes_ = (kFiberStackBytes + page - 1) / page * page;
   map_bytes_ = stack_bytes_ + page;
   void* map = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);

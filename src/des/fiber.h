@@ -8,13 +8,12 @@
 
 namespace spardl {
 
-/// Fiber stack size in bytes: `SPARDL_FIBER_STACK_KB` (clamped to >= 64)
-/// or a 256 KiB default. Worker functions keep their bulk data on the
-/// heap (SparseVector and friends), so a quarter-megabyte covers the
+/// Fiber stack size in bytes. Worker functions keep their bulk data on
+/// the heap (SparseVector and friends), so a quarter-megabyte covers the
 /// deepest algorithm call chains with generous margin; at P = 4096 the
 /// total is 1 GiB of *virtual* address space, of which only the pages a
 /// worker actually touches become resident.
-size_t FiberStackBytes();
+inline constexpr size_t kFiberStackBytes = 256 * 1024;
 
 /// A stackful coroutine over `ucontext`: the execution primitive of the
 /// cooperative cluster backend (see `Scheduler`).
@@ -29,10 +28,10 @@ size_t FiberStackBytes();
 class Fiber {
  public:
   /// Creates a suspended fiber; `fn` starts on the first `Resume`. The
-  /// stack is `mmap`ed with an inaccessible low guard page, so overflow
-  /// faults loudly instead of corrupting a neighbouring fiber's stack.
-  explicit Fiber(std::function<void()> fn,
-                 size_t stack_bytes = FiberStackBytes());
+  /// `kFiberStackBytes` stack is `mmap`ed with an inaccessible low guard
+  /// page, so overflow faults loudly instead of corrupting a neighbouring
+  /// fiber's stack.
+  explicit Fiber(std::function<void()> fn);
 
   /// The fiber must be finished (or never started) when destroyed:
   /// unwinding a suspended stack is not supported.

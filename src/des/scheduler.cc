@@ -39,11 +39,10 @@ void Scheduler::Run(ExecBackend carrier, int num_workers, EventEngine& engine,
 }
 
 void Scheduler::RunFibers(const std::function<void(int)>& body) {
-  const size_t stack_bytes = FiberStackBytes();
   const int num_workers = static_cast<int>(slots_.size());
   for (int rank = 0; rank < num_workers; ++rank) {
     slots_[static_cast<size_t>(rank)].fiber = std::make_unique<Fiber>(
-        [rank, &body] { body(rank); }, stack_bytes);
+        [rank, &body] { body(rank); });
     ready_.push_back(rank);
   }
   while (live_ > 0) {

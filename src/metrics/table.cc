@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "common/logging.h"
 
@@ -40,42 +39,6 @@ std::string TablePrinter::ToString() const {
   out += sep + "\n";
   for (const auto& row : rows_) out += render_row(row);
   return out;
-}
-
-// RFC 4180 quoting: a field holding a comma, quote, or newline is wrapped
-// in quotes with embedded quotes doubled (link/label names are caller
-// data, e.g. "w0->s8", and must not be able to shift columns).
-static std::string CsvField(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string quoted = "\"";
-  for (const char ch : field) {
-    if (ch == '"') quoted += "\"\"";
-    else quoted.push_back(ch);
-  }
-  quoted.push_back('"');
-  return quoted;
-}
-
-bool WriteCsv(const std::string& path,
-              const std::vector<std::string>& column_names,
-              const std::vector<std::vector<double>>& columns) {
-  SPARDL_CHECK_EQ(column_names.size(), columns.size());
-  std::ofstream file(path);
-  if (!file) return false;
-  for (size_t c = 0; c < column_names.size(); ++c) {
-    file << (c ? "," : "") << CsvField(column_names[c]);
-  }
-  file << "\n";
-  size_t rows = 0;
-  for (const auto& col : columns) rows = std::max(rows, col.size());
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < columns.size(); ++c) {
-      if (c) file << ",";
-      if (r < columns[c].size()) file << columns[c][r];
-    }
-    file << "\n";
-  }
-  return static_cast<bool>(file);
 }
 
 }  // namespace spardl

@@ -27,12 +27,6 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Writes a CSV file of named series (one column per series, padded with
-/// empty cells). Returns false on I/O failure.
-bool WriteCsv(const std::string& path,
-              const std::vector<std::string>& column_names,
-              const std::vector<std::vector<double>>& columns);
-
 }  // namespace spardl
 
 #endif  // SPARDL_METRICS_TABLE_H_

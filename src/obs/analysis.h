@@ -182,8 +182,8 @@ struct TimeSeriesReport {
   std::vector<StragglerEntry> stragglers;  // ratio desc, worker asc
 };
 
-/// Default straggler threshold; `SPARDL_STRAGGLER_FACTOR` overrides it
-/// in the bench harness.
+/// Straggler threshold: a worker whose mean iteration wall time exceeds
+/// this multiple of the cross-worker median is flagged.
 inline constexpr double kDefaultStragglerFactor = 1.5;
 
 /// Builds the series from the `Comm::MarkIteration` marks recorded for

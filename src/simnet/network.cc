@@ -100,19 +100,11 @@ void Network::NotifyAllLocked() {
 void Network::WaitLocked(int rank, Lock& lock,
                          const std::function<bool()>& pred,
                          const std::function<std::string()>& describe) {
-  if (scheduler_ != nullptr) {
-    scheduler_->Wait(rank, lock, pred, recv_timeout_seconds_, describe);
-    return;
-  }
-  // No run in progress: this thread is the only worker, so the engine is
-  // pumped in (time, key) order until the predicate holds.
-  while (!pred()) {
-    SPARDL_CHECK(!engine_.QueueEmptyLocked())
-        << describe()
-        << " can never complete: no scheduler is running and no event is "
-           "pending";
-    engine_.PumpOneLocked();
-  }
+  SPARDL_CHECK(scheduler_ != nullptr)
+      << describe()
+      << " waits outside Cluster::Run: every wait goes through the "
+         "scheduler of a running cluster";
+  scheduler_->Wait(rank, lock, pred, recv_timeout_seconds_, describe);
 }
 
 void Network::Post(int src, int dst, Packet packet) {

@@ -63,9 +63,8 @@ struct Packet {
 /// notify contract: a closed-form `Post` notifies `dst`, and a barrier
 /// release, clock-sync latch or protocol diagnosis notifies everyone. On
 /// threads each wait is also bounded by `recv_timeout_seconds` of *wall*
-/// time, a backstop that aborts the process. With no scheduler attached
-/// (a test driving endpoints from one thread) a wait pumps the engine
-/// itself.
+/// time, a backstop that aborts the process. A wait with no scheduler
+/// attached (outside `Cluster::Run`) fails a CHECK.
 ///
 /// Protocol checking: with a `ProtocolChecker` attached, every operation
 /// reports to it inside its own critical section, and the network installs
@@ -180,11 +179,9 @@ class Network {
   using Mailbox = std::deque<Packet>;
   using Lock = std::unique_lock<std::mutex>;
 
-  /// Blocks worker `rank` until `pred()` holds: through the attached
-  /// scheduler, or, with none attached, by pumping the engine (CHECK-fails
-  /// when the queue drains first — nothing else could ever satisfy the
-  /// wait). `describe` names the wait in diagnostics. Caller holds the
-  /// engine mutex via `lock`.
+  /// Blocks worker `rank` until `pred()` holds, through the attached
+  /// scheduler (CHECK-fails with none attached). `describe` names the
+  /// wait in diagnostics. Caller holds the engine mutex via `lock`.
   void WaitLocked(int rank, Lock& lock, const std::function<bool()>& pred,
                   const std::function<std::string()>& describe);
 

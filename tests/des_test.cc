@@ -82,65 +82,68 @@ TEST(LinkServerFairnessTest, SameTimeFlowsSerializeInSendOrder) {
   });
 }
 
-// The flow with the earlier logical send time gets a shared link first
-// even when its receiver charges *second* in wall-clock order. Driving
-// the Comm endpoints
-// from one thread makes the charge order fully ours: two cross-rack flows
-// share the rack-0 trunk (and the rack-1 return trunk); the later-sent
-// flow's receiver consumes first.
+// The flow with the earlier logical send time gets a shared link first,
+// whatever the order of posting and receiving. Two cross-rack flows share
+// the rack-0 trunk (and the rack-1 return trunk): B (0 -> 2) is posted
+// first by rank order on fibers but stamped later, and its receiver waits
+// first; A (1 -> 3) is stamped earlier. Both carriers must charge the
+// same exact times.
 TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   const CostModel cm{1e-3, 1e-6};
   const size_t words = 10'000;
   const double s_trunk = 4.0 * cm.beta * static_cast<double>(words);
   const TopologySpec spec =
       TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0, cm);
-  auto built = spec.Build();
-  ASSERT_TRUE(built.ok());
-  Network network(std::move(*built));
-  Comm early_sender(&network, 0);
-  Comm late_sender(&network, 1);
-  Comm early_receiver(&network, 2);
-  Comm late_receiver(&network, 3);
-
-  // Flow A: 0 -> 2 injected at t = 0. Flow B: 1 -> 3 injected at
-  // t = alpha, well inside A's trunk serialization window.
-  early_sender.Send(2, Payload(std::vector<float>(words, 1.0f)));
-  late_sender.Compute(cm.alpha);
-  late_sender.Send(3, Payload(std::vector<float>(words, 1.0f)));
-
-  // Consume the *later* flow first. Were link order decided by charge
-  // order, B would win the trunk; the event engine must give it to A,
-  // which was injected first.
-  late_receiver.RecvAs<std::vector<float>>(1);
-  early_receiver.RecvAs<std::vector<float>>(0);
-
-  // A rides an idle fabric: 4 hops of alpha/2 plus the trunk bottleneck.
-  EXPECT_DOUBLE_EQ(early_receiver.sim_now(), 2.0 * cm.alpha + s_trunk);
-  // B's header reaches the trunk while A's body crosses it, waits out
-  // A's occupancy on both trunks, then pays its own bottleneck:
-  // (alpha + s_trunk) + alpha/2 [up-trunk] ... + alpha/2 [down-trunk]
-  // + alpha/2 [downlink] + s_trunk = 2.5*alpha + 2*s_trunk.
-  EXPECT_DOUBLE_EQ(late_receiver.sim_now(), 2.5 * cm.alpha + 2.0 * s_trunk);
+  for (const ExecBackend backend :
+       {ExecBackend::kThread, ExecBackend::kFiber}) {
+    Cluster cluster(spec);
+    cluster.set_exec_backend(backend);
+    double early_arrival = 0.0;
+    double late_arrival = 0.0;
+    // Flow B: 0 -> 2 injected at t = alpha, well inside A's trunk
+    // serialization window. Flow A: 1 -> 3 injected at t = 0.
+    ASSERT_TRUE(cluster
+                    .Run([&](Comm& comm) {
+                      switch (comm.rank()) {
+                        case 0:
+                          comm.Compute(cm.alpha);
+                          comm.Send(2, Payload(std::vector<float>(words)));
+                          break;
+                        case 1:
+                          comm.Send(3, Payload(std::vector<float>(words)));
+                          break;
+                        case 2:
+                          comm.RecvAs<std::vector<float>>(0);
+                          late_arrival = comm.sim_now();
+                          break;
+                        default:
+                          comm.RecvAs<std::vector<float>>(1);
+                          early_arrival = comm.sim_now();
+                      }
+                    })
+                    .ok());
+    const char* carrier = backend == ExecBackend::kFiber ? "fiber" : "thread";
+    // A rides an idle fabric: 4 hops of alpha/2 plus the trunk bottleneck.
+    EXPECT_DOUBLE_EQ(early_arrival, 2.0 * cm.alpha + s_trunk) << carrier;
+    // B's header reaches the trunk while A's body crosses it, waits out
+    // A's occupancy on both trunks, then pays its own bottleneck:
+    // (alpha + s_trunk) + alpha/2 [up-trunk] ... + alpha/2 [down-trunk]
+    // + alpha/2 [downlink] + s_trunk = 2.5*alpha + 2*s_trunk.
+    EXPECT_DOUBLE_EQ(late_arrival, 2.5 * cm.alpha + 2.0 * s_trunk) << carrier;
+  }
 }
 
-// Outside any run there is no scheduler to wait through: the receive
-// pumps the engine itself, and a wait nothing pending can satisfy dies at
-// once instead of hanging.
-TEST(UnscheduledWaitDeathTest, ReceiveWithNothingPendingDies) {
+// Every wait goes through the scheduler of a running cluster: a receive
+// driven from outside `Cluster::Run` dies at once instead of hanging.
+TEST(UnscheduledWaitDeathTest, WaitOutsideRunDies) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const TopologySpec spec =
-      TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0);
   EXPECT_DEATH(
       {
-        auto built = spec.Build();
-        Network network(std::move(*built));
-        Comm sender(&network, 0);
-        Comm receiver(&network, 2);
-        sender.Send(2, Payload(int64_t{7}));
-        receiver.RecvAs<int64_t>(0);  // pumped to resolution: fine
-        receiver.RecvAs<int64_t>(0);  // nothing was sent
+        Network network(2, CostModel::Free());
+        Comm receiver(&network, 1);
+        receiver.RecvAs<int64_t>(0);
       },
-      "Recv dst=2 src=0 tag=0 can never complete");
+      "Recv dst=1 src=0 tag=0 waits outside Cluster::Run");
 }
 
 /// Runs `rounds` rounds of the neighbour permutation r -> r+1 (each

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <sstream>
 
 namespace spardl {
@@ -29,26 +28,6 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(TablePrinterTest, RejectsMismatchedRow) {
   TablePrinter table({"a", "b"});
   EXPECT_DEATH(table.AddRow({"only one"}), "");
-}
-
-TEST(WriteCsvTest, WritesColumnsWithPadding) {
-  const std::string path = ::testing::TempDir() + "/spardl_test.csv";
-  ASSERT_TRUE(WriteCsv(path, {"x", "y"}, {{1.0, 2.0, 3.0}, {10.0}}));
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,10");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2,");
-  std::getline(in, line);
-  EXPECT_EQ(line, "3,");
-  std::remove(path.c_str());
-}
-
-TEST(WriteCsvTest, FailsOnBadPath) {
-  EXPECT_FALSE(WriteCsv("/nonexistent-dir/x.csv", {"a"}, {{1.0}}));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Regression for the historical tune_teams bug: the tuner ignored
-// --topology / SPARDL_BENCH_TOPOLOGY and always swept d on the flat
+// --topology and always swept d on the flat
 // closed-form fabric, so its "optimal d" was wrong for exactly the
 // clusters where d matters. `TuneTeamPlacement` (the engine behind
 // examples/tune_teams) now grids over the *given* TopologySpec — proven
