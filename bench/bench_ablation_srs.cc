@@ -103,8 +103,9 @@ void BruckVsRecursiveDoubling(const bench::HarnessArgs& args) {
 }  // namespace spardl
 
 int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+  // No team layout here for --placement to change.
+  const spardl::bench::HarnessArgs args = spardl::bench::ParseHarnessArgs(
+      argc, argv, {.placement = false});
   std::printf("== Ablations of SparDL design choices ==\n\n");
   spardl::LazyVsEager(args);
   spardl::BruckVsRecursiveDoubling(args);

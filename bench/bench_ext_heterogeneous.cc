@@ -77,7 +77,9 @@ double PerUpdateSeconds(const bench::HarnessArgs& args,
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  // No team layout here for --placement to change.
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv, {.placement = false});
   const int p = args.workers_or(14);
   const int iters = args.iterations_or(1);
   std::printf(

@@ -19,7 +19,9 @@
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  // The figure fixes its fabric and has no team layout to place.
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv, {.topology = false, .placement = false});
   const ModelProfile& profile = ProfileByModel("VGG-19");
 
   // == Extension beyond the figure: large-P rows on a contended fabric ==

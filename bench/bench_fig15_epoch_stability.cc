@@ -107,8 +107,10 @@ void RunForWorkers(const bench::HarnessArgs& args, int p,
 }  // namespace spardl
 
 int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+  // Teams stay contiguous, as the figure lays them out: --placement
+  // is not read.
+  const spardl::bench::HarnessArgs args = spardl::bench::ParseHarnessArgs(
+      argc, argv, {.placement = false});
   std::printf(
       "== Fig. 15: per-epoch time stability across epochs ==\n\n");
   if (args.workers.has_value()) {

@@ -43,8 +43,9 @@ void Run(const std::string& model, const std::vector<std::string>& algos,
 }  // namespace spardl
 
 int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+  // The figure fixes its fabric and has no team layout to place.
+  const spardl::bench::HarnessArgs args = spardl::bench::ParseHarnessArgs(
+      argc, argv, {.topology = false, .placement = false});
   std::printf(
       "== Fig. 18: per-update time on the RDMA (InfiniBand) cluster, %d "
       "workers ==\n\n",

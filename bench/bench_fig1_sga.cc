@@ -33,7 +33,10 @@ int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
   // This figure needs no cluster, so of the shared harness flags only
   // --workers applies (the pairwise summation tree wants a power of two).
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv,
+      {.iterations = false, .topology = false, .placement = false,
+       .cluster = false});
   const size_t n = 65536;
   const size_t k = 656;  // ~1% density
   const int p = args.workers_or(16);

@@ -18,7 +18,9 @@
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  // The figure fixes its fabric and has no team layout to place.
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv, {.topology = false, .placement = false});
   const std::vector<std::string> models = {"VGG-19", "VGG-11", "LSTM-IMDB",
                                            "LSTM-PTB"};
   const std::vector<std::string> algos = {"topkdsa", "topka", "oktopk",

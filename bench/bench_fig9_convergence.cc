@@ -23,7 +23,9 @@
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  // No team layout here for --placement to change.
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv, {.placement = false});
   const int workers = args.workers_or(14);
   const std::optional<TopologySpec> fabric =
       args.TopologyOr(std::nullopt, workers);

@@ -109,8 +109,9 @@ void RunForWorkers(int p, int iterations) {
 }  // namespace spardl
 
 int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+  // The figure fixes its fabric and has no team layout to place.
+  const spardl::bench::HarnessArgs args = spardl::bench::ParseHarnessArgs(
+      argc, argv, {.topology = false, .placement = false});
   std::printf(
       "== Table I: communication complexity of sparse All-Reduce methods "
       "==\n"

@@ -15,18 +15,12 @@ namespace bench {
 
 namespace {
 
-constexpr const char* kFlagHelp =
-    "(supported flags: --workers N, --iterations N, --topology SPEC, "
-    "--backend thread|fiber, "
-    "--placement contiguous|rack|interleaved, "
-    "--trace-out PATH, --metrics-out PATH, --timeseries-out PATH, "
-    "--protocol-check)";
-
-/// The last parsed harness flags plus every run observed so far,
-/// installed by `ParseHarnessArgs`. A plain static: bench mains are
-/// single-threaded at parse/prepare/observe time.
+/// The last parsed harness flags, the flags the bench reads, and every
+/// run observed so far, installed by `ParseHarnessArgs`. A plain static:
+/// bench mains are single-threaded at parse/prepare/observe time.
 struct HarnessState {
   HarnessArgs args;
+  HarnessFlags reads;
   std::vector<RunMetrics> runs;
 
   bool observing() const {
@@ -40,6 +34,22 @@ HarnessState& GlobalHarness() {
   return state;
 }
 
+// The usage line: the flags the bench being parsed reads.
+std::string FlagHelp() {
+  const HarnessFlags& reads = GlobalHarness().reads;
+  std::string help = "(supported flags: --workers N";
+  if (reads.iterations) help += ", --iterations N";
+  if (reads.topology) help += ", --topology SPEC";
+  if (reads.cluster) help += ", --backend thread|fiber";
+  if (reads.placement) help += ", --placement contiguous|rack|interleaved";
+  if (reads.cluster) {
+    help +=
+        ", --trace-out PATH, --metrics-out PATH, --timeseries-out PATH, "
+        "--protocol-check";
+  }
+  return help + ")";
+}
+
 [[noreturn]] void DieWriteFailure(const std::string& path) {
   std::fprintf(stderr, "failed to write '%s': %s\n", path.c_str(),
                std::strerror(errno));
@@ -48,7 +58,7 @@ HarnessState& GlobalHarness() {
 
 [[noreturn]] void DieBadValue(const char* what, const char* text) {
   std::fprintf(stderr, "bad value '%s' for %s: want a positive integer %s\n",
-               text, what, kFlagHelp);
+               text, what, FlagHelp().c_str());
   std::exit(2);
 }
 
@@ -64,7 +74,8 @@ int ParseIntOrDie(const char* what, const char* text) {
 }
 
 [[noreturn]] void DieMissingValue(const char* what) {
-  std::fprintf(stderr, "missing value for %s %s\n", what, kFlagHelp);
+  std::fprintf(stderr, "missing value for %s %s\n", what,
+               FlagHelp().c_str());
   std::exit(2);
 }
 
@@ -96,7 +107,7 @@ PlacementPolicy ParsePlacementOrDie(const std::string& text) {
   auto parsed = ParsePlacementPolicy(text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "bad --placement: %s %s\n",
-                 parsed.status().ToString().c_str(), kFlagHelp);
+                 parsed.status().ToString().c_str(), FlagHelp().c_str());
     std::exit(2);
   }
   return *parsed;
@@ -107,37 +118,54 @@ ExecBackend ParseBackendOrDie(const std::string& text) {
   if (text == "fiber") return ExecBackend::kFiber;
   std::fprintf(stderr,
                "bad value '%s' for --backend: want thread|fiber %s\n",
-               text.c_str(), kFlagHelp);
+               text.c_str(), FlagHelp().c_str());
   std::exit(2);
 }
 
 }  // namespace
 
-HarnessArgs ParseHarnessArgs(int argc, char** argv) {
+HarnessArgs ParseHarnessArgs(int argc, char** argv, HarnessFlags reads) {
   HarnessArgs args;
+  GlobalHarness().reads = reads;
+  // Rejects the flag at argv[at] unless the bench reads it.
+  const auto require = [&](bool read, int at) {
+    if (read) return;
+    std::fprintf(stderr, "this bench does not read '%s' %s\n", argv[at],
+                 FlagHelp().c_str());
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
+    const int at = i;
     if (auto workers = MatchIntFlag("workers", argc, argv, &i)) {
       args.workers = *workers;
     } else if (auto iters = MatchIntFlag("iterations", argc, argv, &i)) {
+      require(reads.iterations, at);
       args.iterations = *iters;
     } else if (auto topo = MatchStringFlag("topology", argc, argv, &i)) {
+      require(reads.topology, at);
       args.topology = *topo;
     } else if (auto backend = MatchStringFlag("backend", argc, argv, &i)) {
+      require(reads.cluster, at);
       args.backend = ParseBackendOrDie(*backend);
     } else if (auto place = MatchStringFlag("placement", argc, argv, &i)) {
+      require(reads.placement, at);
       args.placement = ParsePlacementOrDie(*place);
     } else if (auto trace = MatchStringFlag("trace-out", argc, argv, &i)) {
+      require(reads.cluster, at);
       args.trace_out = *trace;
     } else if (auto metrics = MatchStringFlag("metrics-out", argc, argv, &i)) {
+      require(reads.cluster, at);
       args.metrics_out = *metrics;
     } else if (auto ts = MatchStringFlag("timeseries-out", argc, argv, &i)) {
+      require(reads.cluster, at);
       args.timeseries_out = *ts;
     } else if (std::strcmp(argv[i], "--protocol-check") == 0) {
+      require(reads.cluster, at);
       args.protocol_check = true;
     } else {
       std::fprintf(stderr, "unknown %s '%s' %s\n",
                    std::strncmp(argv[i], "--", 2) == 0 ? "flag" : "argument",
-                   argv[i], kFlagHelp);
+                   argv[i], FlagHelp().c_str());
       std::exit(2);
     }
   }

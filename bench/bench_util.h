@@ -16,7 +16,7 @@
 namespace spardl {
 namespace bench {
 
-/// Shared harness CLI: every bench main accepts
+/// Shared harness CLI: every bench main accepts the flags it reads of
 ///
 ///   --workers=N / --workers N       cluster size override
 ///   --iterations=N / --iterations N measured iterations override
@@ -30,8 +30,9 @@ namespace bench {
 ///
 /// The command line is the only source of these settings
 /// (`SPARDL_EXEC_BACKEND` only sets the process default that `--backend`
-/// overrides). Unknown flags, positional arguments and bad values exit 2
-/// with a usage message.
+/// overrides). Unknown flags, flags the bench does not read (see
+/// `HarnessFlags`), positional arguments and bad values exit 2 with a
+/// usage message.
 ///
 /// `ParseHarnessArgs` also installs the parsed flags process-globally.
 /// Every bench that builds a `Cluster` hands it to `PrepareCluster` before
@@ -39,9 +40,7 @@ namespace bench {
 /// measurement helpers (`MeasurePerUpdate`, `RunTrainingCase`) do both
 /// themselves. So `--backend`, `--protocol-check` and the output sinks
 /// reach every cluster. `--workers`, `--iterations`, `--topology` and
-/// `--placement` are read by each bench through the accessors below;
-/// benches whose figure fixes the fabric or has no team layout (e.g.
-/// fig8, fig12, fig18, table1) still ignore the last two.
+/// `--placement` are read by each bench through the accessors below.
 struct HarnessArgs {
   std::optional<int> workers;
   std::optional<int> iterations;
@@ -76,7 +75,22 @@ struct HarnessArgs {
       CostModel cost = CostModel::Ethernet()) const;
 };
 
-HarnessArgs ParseHarnessArgs(int argc, char** argv);
+/// The optional harness flags a bench reads (`--workers` is read by
+/// all). A bench whose figure fixes the fabric, has no team layout to
+/// place, or builds no cluster clears what it cannot honour, and
+/// `ParseHarnessArgs` rejects those flags instead of accepting and
+/// ignoring them.
+struct HarnessFlags {
+  bool iterations = true;
+  bool topology = true;
+  bool placement = true;
+  /// `--backend`, `--protocol-check` and the output sinks, which
+  /// `PrepareCluster` and `ObserveRun` apply: read by every bench that
+  /// builds a cluster.
+  bool cluster = true;
+};
+
+HarnessArgs ParseHarnessArgs(int argc, char** argv, HarnessFlags reads = {});
 
 /// Applies the last parsed harness flags to a freshly built `cluster`:
 /// the `--backend` selection, span recording when any output sink

@@ -29,7 +29,10 @@
 
 int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+  // Teams stay contiguous, as the figure lays them out: --placement
+  // is not read.
+  const bench::HarnessArgs args = bench::ParseHarnessArgs(
+      argc, argv, {.placement = false});
   const int p = args.workers_or(8);
   const int iterations = args.iterations_or(2);
 

@@ -7,15 +7,22 @@
 
 #include "common/logging.h"
 
-// ASan needs to be told about stack switches or it poisons/flags frames
-// on the inactive stack. TSan has no ucontext support at all — the
-// cluster layer pins the thread backend there (see Cluster) — so only
-// the ASan annotations are wired here.
+// Both sanitizers must be told about stack switches. ASan otherwise
+// poisons or flags frames on the inactive stack; TSan otherwise sees one
+// thread's accesses jump between unrelated stacks and, with fibers
+// resumed from several carrier threads, has no happens-before edge from
+// the carrier a fiber yielded on to the one that resumes it. ASan's
+// `__sanitizer_*_switch_fiber` and TSan's `__tsan_*_fiber` calls give
+// each switch both.
 #if defined(__SANITIZE_ADDRESS__)
 #define SPARDL_FIBER_ASAN 1
+#elif defined(__SANITIZE_THREAD__)
+#define SPARDL_FIBER_TSAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SPARDL_FIBER_ASAN 1
+#elif __has_feature(thread_sanitizer)
+#define SPARDL_FIBER_TSAN 1
 #endif
 #endif
 
@@ -29,6 +36,23 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 }
 #endif
 
+#ifdef SPARDL_FIBER_TSAN
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+}
+// TSan keeps a shadow call stack per fiber context, so its switch must
+// sit in the very function that calls `swapcontext`: a helper entered on
+// one context would return on the other and unbalance both stacks.
+// Flags 0: the switch synchronizes, so the side switched to
+// happens-after everything the side switched from did.
+#define SPARDL_TSAN_SWITCH_TO(fiber) __tsan_switch_to_fiber((fiber), 0)
+#else
+#define SPARDL_TSAN_SWITCH_TO(fiber) (void)(fiber)
+#endif
+
 namespace spardl {
 
 namespace {
@@ -36,7 +60,8 @@ namespace {
 /// The fiber running on this OS thread (null = the thread's own stack).
 /// Also how `Trampoline` learns which fiber it belongs to: `makecontext`
 /// cannot portably smuggle a pointer argument, but `Resume` always sets
-/// this before switching in.
+/// this before switching in. Fiber code reads it only before a switch
+/// out: after one, the fiber may be running on another thread.
 thread_local Fiber* g_current_fiber = nullptr;
 
 size_t PageBytes() {
@@ -59,11 +84,17 @@ Fiber::Fiber(std::function<void()> fn) : fn_(std::move(fn)) {
   map_ = static_cast<char*>(map);
   SPARDL_CHECK(::mprotect(map_, page, PROT_NONE) == 0)
       << "fiber guard page mprotect failed";
+#ifdef SPARDL_FIBER_TSAN
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber() {
   SPARDL_CHECK(!started_ || finished_)
       << "fiber destroyed while suspended mid-run";
+#ifdef SPARDL_FIBER_TSAN
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
 }
 
@@ -76,6 +107,17 @@ void Fiber::StartSwitchInto() {
 #endif
 }
 
+void Fiber::FinishSwitchInto() {
+#ifdef SPARDL_FIBER_ASAN
+  // ASan reports the stack we came from: the resuming carrier's, whose
+  // bounds we could not know otherwise and which changes whenever
+  // another carrier resumes the fiber. They are what the next switch
+  // back out must announce.
+  __sanitizer_finish_switch_fiber(fiber_fake_stack_, &caller_stack_bottom_,
+                                  &caller_stack_size_);
+#endif
+}
+
 void Fiber::StartSwitchOutOf() {
 #ifdef SPARDL_FIBER_ASAN
   // A finishing fiber passes null so ASan releases its fake stack.
@@ -85,26 +127,19 @@ void Fiber::StartSwitchOutOf() {
 #endif
 }
 
-void Fiber::FinishSwitch(void* restored_fake_stack, bool record_caller) {
+void Fiber::FinishSwitchOutOf() {
 #ifdef SPARDL_FIBER_ASAN
-  // On the first switch in, ASan reports the stack we came from — the
-  // carrier thread's — whose bounds we could not know otherwise; they
-  // are what every switch back out must announce.
-  __sanitizer_finish_switch_fiber(
-      restored_fake_stack, record_caller ? &caller_stack_bottom_ : nullptr,
-      record_caller ? &caller_stack_size_ : nullptr);
-#else
-  (void)restored_fake_stack;
-  (void)record_caller;
+  __sanitizer_finish_switch_fiber(caller_fake_stack_, nullptr, nullptr);
 #endif
 }
 
 void Fiber::Trampoline() {
   Fiber* self = g_current_fiber;
-  self->FinishSwitch(nullptr, /*record_caller=*/true);
+  self->FinishSwitchInto();
   self->fn_();
   self->finished_ = true;
   self->StartSwitchOutOf();
+  SPARDL_TSAN_SWITCH_TO(self->tsan_caller_);
   ::swapcontext(&self->context_, &self->caller_);
   // Unreachable: a finished fiber is never resumed.
   SPARDL_CHECK(false) << "finished fiber resumed";
@@ -123,10 +158,14 @@ void Fiber::Resume() {
     ::makecontext(&context_, &Fiber::Trampoline, 0);
   }
   g_current_fiber = this;
+#ifdef SPARDL_FIBER_TSAN
+  tsan_caller_ = __tsan_get_current_fiber();
+#endif
   StartSwitchInto();
+  SPARDL_TSAN_SWITCH_TO(tsan_fiber_);
   SPARDL_CHECK(::swapcontext(&caller_, &context_) == 0);
   // Back on the carrier stack: the fiber yielded or finished.
-  FinishSwitch(caller_fake_stack_, /*record_caller=*/false);
+  FinishSwitchOutOf();
   g_current_fiber = nullptr;
 }
 
@@ -134,9 +173,11 @@ void Fiber::Yield() {
   SPARDL_CHECK(g_current_fiber == this)
       << "Yield outside the running fiber";
   StartSwitchOutOf();
+  SPARDL_TSAN_SWITCH_TO(tsan_caller_);
   SPARDL_CHECK(::swapcontext(&context_, &caller_) == 0);
-  // Resumed: re-establish the fiber's sanitizer stack context.
-  FinishSwitch(fiber_fake_stack_, /*record_caller=*/false);
+  // Resumed, possibly by another carrier: re-establish the fiber's
+  // sanitizer stack context against that carrier's stack.
+  FinishSwitchInto();
 }
 
 }  // namespace spardl

@@ -20,11 +20,15 @@ inline constexpr size_t kFiberStackBytes = 256 * 1024;
 ///
 /// One fiber runs `fn` on its own guard-paged stack. `Resume` switches
 /// the calling OS thread into the fiber and returns when the fiber calls
-/// `Yield` or when `fn` returns; all resumes of one fiber must come from
-/// the same OS thread (the scheduler's carrier thread). Under ASan every
-/// switch is bracketed with the sanitizer fiber annotations, so stack
-/// poisoning follows the active stack instead of flagging cross-stack
-/// reads.
+/// `Yield` or when `fn` returns. Successive resumes may come from
+/// different OS threads (the scheduler's carriers), one at a time: the
+/// carrier that resumes must happen-after the one the fiber last yielded
+/// to. So code running in a fiber must not carry a `thread_local` (its
+/// address included) across a `Yield`. Every switch is annotated for the
+/// sanitizers: under ASan, stack poisoning follows the active stack and
+/// the carrier's stack bounds are re-read on every switch in; under TSan,
+/// each fiber has its own fiber context, and each switch synchronizes
+/// the two sides.
 class Fiber {
  public:
   /// Creates a suspended fiber; `fn` starts on the first `Resume`. The
@@ -41,27 +45,31 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   /// Switches into the fiber until it yields or finishes. Must not be
-  /// called from inside any fiber (no nesting) or after `finished()`.
+  /// called from inside any fiber (no nesting), after `finished()`, or
+  /// while another thread is resuming this fiber.
   void Resume();
 
   /// From inside the fiber: suspends and returns control to `Resume`'s
-  /// caller. The next `Resume` continues right after this call.
+  /// caller. The next `Resume`, from any thread, continues right after
+  /// this call.
   void Yield();
 
   /// True once `fn` has returned. A finished fiber cannot be resumed.
   bool finished() const { return finished_; }
 
   /// The fiber currently running on this OS thread, or null when the
-  /// thread is on its own stack.
+  /// thread is on its own stack. Read it before a `Yield`, not across
+  /// one: the fiber may continue on another thread.
   static Fiber* Current();
 
  private:
   static void Trampoline();
 
-  /// Sanitizer bookkeeping around a context switch; no-ops outside ASan.
+  /// ASan bookkeeping around a context switch; no-ops without ASan.
   void StartSwitchInto();   // caller stack -> this fiber's stack
   void StartSwitchOutOf();  // this fiber's stack -> caller stack
-  void FinishSwitch(void* restored_fake_stack, bool record_caller);
+  void FinishSwitchInto();
+  void FinishSwitchOutOf();
 
   std::function<void()> fn_;
   size_t stack_bytes_;
@@ -73,12 +81,17 @@ class Fiber {
   bool finished_ = false;
 
   // ASan fiber-switch state: each side's fake-stack handle, plus the
-  // caller stack's bounds (reported by the first switch in, reused when
-  // switching back out).
+  // stack bounds of the carrier that last resumed the fiber (reported on
+  // each switch in, announced when switching back out).
   void* caller_fake_stack_ = nullptr;
   void* fiber_fake_stack_ = nullptr;
   const void* caller_stack_bottom_ = nullptr;
   size_t caller_stack_size_ = 0;
+
+  // TSan fiber contexts: this fiber's own, and that of the carrier that
+  // last resumed it.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
 };
 
 }  // namespace spardl

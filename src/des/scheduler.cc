@@ -1,5 +1,7 @@
 #include "des/scheduler.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -8,6 +10,87 @@
 #include "des/event_engine.h"
 
 namespace spardl {
+
+namespace {
+
+/// CPUs this process may run on: the fiber carrier budget.
+int AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
+
+/// The helper carrier threads of one fiber run. `Start` hands `work` to
+/// the first `count` helpers, `Join` returns once each has returned from
+/// it; the calling thread runs its own share in between. The hand-off is
+/// a per-helper round counter and a shared count of running helpers
+/// (release on bump, acquire on wait), so everything the caller did
+/// before `Start` happens-before the helpers' work, and their work
+/// happens-before `Join` returning.
+class CarrierCrew {
+ public:
+  explicit CarrierCrew(int size) : helpers_(static_cast<size_t>(size)) {
+    for (Helper& helper : helpers_) {
+      helper.thread = std::thread([this, &helper] { Loop(helper); });
+    }
+  }
+
+  ~CarrierCrew() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (Helper& helper : helpers_) Bump(helper);
+    for (Helper& helper : helpers_) helper.thread.join();
+  }
+
+  CarrierCrew(const CarrierCrew&) = delete;
+  CarrierCrew& operator=(const CarrierCrew&) = delete;
+
+  void Start(const std::function<void()>& work, int count) {
+    work_ = &work;
+    running_.store(count, std::memory_order_relaxed);
+    for (int i = 0; i < count; ++i) Bump(helpers_[static_cast<size_t>(i)]);
+  }
+
+  void Join() {
+    int left = running_.load(std::memory_order_acquire);
+    while (left != 0) {
+      running_.wait(left, std::memory_order_acquire);
+      left = running_.load(std::memory_order_acquire);
+    }
+  }
+
+ private:
+  struct alignas(64) Helper {
+    std::atomic<uint32_t> round{0};
+    std::thread thread;
+  };
+
+  static void Bump(Helper& helper) {
+    helper.round.fetch_add(1, std::memory_order_release);
+    helper.round.notify_one();
+  }
+
+  void Loop(Helper& helper) {
+    uint32_t seen = 0;
+    for (;;) {
+      helper.round.wait(seen, std::memory_order_acquire);
+      seen = helper.round.load(std::memory_order_acquire);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      (*work_)();
+      if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        running_.notify_one();
+      }
+    }
+  }
+
+  const std::function<void()>* work_ = nullptr;
+  std::atomic<int> running_{0};
+  std::atomic<bool> stop_{false};
+  // Last: the helper threads use every member above.
+  std::vector<Helper> helpers_;
+};
+
+}  // namespace
 
 Scheduler::Scheduler() = default;
 Scheduler::~Scheduler() = default;
@@ -45,15 +128,26 @@ void Scheduler::RunFibers(const std::function<void(int)>& body) {
         [rank, &body] { body(rank); });
     ready_.push_back(rank);
   }
+  const int carriers = std::min(num_workers, AffinityCpus());
+  stats_.carriers = static_cast<uint64_t>(carriers);
+  CarrierCrew crew(carriers - 1);
+  const std::function<void()> share = [this] { RunRoundShare(); };
   while (live_ > 0) {
-    // Run every ready worker once, in rank order. A worker returns
-    // control only by blocking (state -> kWaiting) or finishing.
+    // Run every ready worker once. A worker returns control only by
+    // blocking (state -> kWaiting) or finishing.
+    const int helpers =
+        std::min(static_cast<int>(ready_.size()), carriers) - 1;
+    ++stats_.rounds;
+    stats_.resumes += ready_.size();
+    cursor_.store(0, std::memory_order_relaxed);
+    if (helpers > 0) {
+      ++stats_.parallel_rounds;
+      crew.Start(share, helpers);
+    }
+    RunRoundShare();
+    crew.Join();
     for (const int rank : ready_) {
       WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
-      current_ = rank;
-      ++stats_.resumes;
-      slot.fiber->Resume();
-      current_ = -1;
       if (slot.fiber->finished()) {
         slot.state = State::kDone;
         --live_;
@@ -62,11 +156,19 @@ void Scheduler::RunFibers(const std::function<void(int)>& body) {
     ready_.clear();
     if (live_ == 0) break;
     // Every live fiber is blocked. The wake step reads predicate state
-    // lock-free: every fiber runs on this one OS thread and all of them
-    // are suspended with the engine mutex released. Only pumping takes it.
+    // lock-free: every fiber is suspended with the engine mutex released
+    // and every carrier has handed the round back. Only pumping takes it.
     if (WakeNotifiedWaiters()) continue;
     std::lock_guard<std::mutex> lock(engine_->mu());
     Stall();
+  }
+}
+
+void Scheduler::RunRoundShare() {
+  for (;;) {
+    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= ready_.size()) return;
+    slots_[static_cast<size_t>(ready_[i])].fiber->Resume();
   }
 }
 
@@ -92,7 +194,9 @@ void Scheduler::Wait(int rank, std::unique_lock<std::mutex>& lock,
                      const std::function<std::string()>& describe) {
   SPARDL_CHECK(engine_ != nullptr && rank >= 0 &&
                rank < static_cast<int>(slots_.size()) &&
-               (carrier_ == ExecBackend::kThread || rank == current_))
+               (carrier_ == ExecBackend::kThread ||
+                Fiber::Current() ==
+                    slots_[static_cast<size_t>(rank)].fiber.get()))
       << "Scheduler::Wait outside worker " << rank << " of a run";
   WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
   for (;;) {

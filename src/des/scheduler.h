@@ -1,6 +1,8 @@
 #ifndef SPARDL_DES_SCHEDULER_H_
 #define SPARDL_DES_SCHEDULER_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -18,20 +20,26 @@ class EventEngine;
 
 /// How the P SPMD workers of a run execute: the scheduler's carrier.
 enum class ExecBackend {
-  /// One OS thread per worker — the legacy backend. The only backend
-  /// ThreadSanitizer can observe (ucontext switches are invisible to
-  /// it), so TSan builds force this choice.
+  /// One OS thread per worker — the legacy backend, preempted by the
+  /// kernel at any instruction.
   kThread,
-  /// All workers as stackful fibers cooperatively scheduled on the
-  /// calling thread. Deterministic interleaving, no per-worker OS
-  /// thread — the backend that scales one machine to P = 1024–4096
-  /// workers.
+  /// All workers as stackful fibers, run in rounds: each round resumes
+  /// every ready fiber once, on the calling thread plus up to
+  /// min(P, CPUs this process may use) − 1 helper carrier threads. No
+  /// per-worker OS thread — the backend that scales one machine to
+  /// P = 1024–4096 workers.
   kFiber,
 };
 
 /// What one run cost the simulator itself (not simulated time). Always
-/// on: each counter is a plain increment, made on the fiber carrier's
-/// one thread or under the engine mutex on threads.
+/// on: each counter is a plain increment, made under the engine mutex or
+/// by the fiber scheduler's calling thread between rounds.
+///
+/// `engine_pumps` is a pure function of the SPMD program. The others
+/// depend on the schedule on both carriers: on fibers, which workers a
+/// round finds blocked depends on how its carriers interleaved them, and
+/// so do the resumes, wakeups and predicate evaluations that follow
+/// (and the "wake evals/msg" column derived from them).
 struct SchedulerStats {
   /// Worker (re)starts: switches into a fiber, or a thread's start and
   /// each return from a parked wait.
@@ -42,12 +50,23 @@ struct SchedulerStats {
   uint64_t wakeups = 0;
   /// Engine events pumped (mid-path hops and final resolutions).
   uint64_t engine_pumps = 0;
+  /// Fiber carrier only: rounds run, and those whose ready fibers were
+  /// shared among more than one carrier thread.
+  uint64_t rounds = 0;
+  uint64_t parallel_rounds = 0;
+  /// Fiber carrier only: carrier threads available to a round, the
+  /// calling thread included (1 = every round runs inline). Accumulated
+  /// stats keep the largest count instead of a sum over runs.
+  uint64_t carriers = 0;
 
   SchedulerStats& operator+=(const SchedulerStats& other) {
     resumes += other.resumes;
     predicate_evals += other.predicate_evals;
     wakeups += other.wakeups;
     engine_pumps += other.engine_pumps;
+    rounds += other.rounds;
+    parallel_rounds += other.parallel_rounds;
+    carriers = std::max(carriers, other.carriers);
     return *this;
   }
 };
@@ -55,8 +74,13 @@ struct SchedulerStats {
 /// The one place SPMD workers block, are woken, are found quiescent and
 /// have the event engine pumped for them, on either carrier
 /// (`ExecBackend`):
-///   - fibers: P stackful fibers multiplexed on the *calling* OS thread,
-///     each ready worker run in rank order until it blocks or finishes;
+///   - fibers: P stackful fibers run in rounds. A round resumes every
+///     ready worker once, until it blocks or finishes; the calling OS
+///     thread and up to min(P, CPUs in the affinity mask) − 1 helper
+///     carrier threads take the round's ready workers from a shared
+///     cursor in rank order. A round with one ready worker runs inline
+///     on the calling thread. Waking, pumping and stall diagnosis happen
+///     between rounds, on the calling thread alone;
 ///   - threads: one OS thread per worker, each parking on its own
 ///     condition variable.
 ///
@@ -65,10 +89,10 @@ struct SchedulerStats {
 /// are re-checked at the wake step, between rounds, in rank order; on
 /// threads `Notify` re-checks the waiter at once, under the engine
 /// mutex, and signals only that waiter. When every live worker is
-/// blocked — the last fiber of a round yields, or the last thread parks
-/// or exits — the scheduler runs the stall step: it pumps the event
-/// engine in `(time, key)` order, waking the receiver of each resolved
-/// flow, until some waiter is runnable. If the queue drains first, the
+/// blocked — a fiber round ends and the wake step woke nobody, or the
+/// last thread parks or exits — the scheduler runs the stall step: it
+/// pumps the event engine in `(time, key)` order, waking the receiver of
+/// each resolved flow, until some waiter is runnable. If the queue drains first, the
 /// SPMD program is deadlocked: this is the one place a deadlock is
 /// found. The scheduler then runs the deadlock hook, if one is set
 /// (`Network` sets the protocol checker's diagnosis, which releases every
@@ -98,21 +122,26 @@ struct SchedulerStats {
 /// where the injected flow set is a pure function of the SPMD program,
 /// and pumping pauses the moment a resolution releases a waiter (which
 /// may inject new, earlier-keyed flows). So the event order, and every
-/// simulated result, is the same on both carriers and every thread
-/// schedule; only who runs between blocking points differs. On fibers
-/// the interleaving itself is deterministic too: during a round fibers
-/// change only shared state, never each other's run state, so notifying
-/// wakes exactly the waiters a full scan would, in the same rank order.
+/// simulated result, is the same on both carriers, at every fiber
+/// carrier count and under every thread schedule; only who runs between
+/// blocking points differs. The fiber interleaving itself is not
+/// deterministic: a round's fibers run concurrently on its carriers, so
+/// which waiters a round end finds notified, and the `SchedulerStats`
+/// that follow from it, can vary from run to run as on threads. With one
+/// carrier the rounds run in rank order on the calling thread and the
+/// interleaving is deterministic.
 ///
 /// Locking contract. `Wait`, `Notify` and `NotifyAll` are called with
 /// the engine mutex held, and every predicate reads only state that
 /// mutex guards. On fibers `Wait` releases the mutex across the switch
-/// (the next fiber runs on the same OS thread and would self-deadlock
-/// re-acquiring it). It is the simulator's only mutex, so no other lock
-/// can be held across a wait and there is no lock order. The fiber wake
-/// step then evaluates predicates without the mutex (sound: one carrier
-/// thread, every fiber suspended); only the stall step takes it, to pump
-/// the engine.
+/// (the next fiber on the same carrier would self-deadlock re-acquiring
+/// it). It is the simulator's only mutex, so no other lock can be held
+/// across a wait and there is no lock order; rounds are handed to the
+/// carriers through atomics. Between rounds every fiber is suspended and
+/// each carrier has handed the round back (its release of the round's
+/// count of running carriers, acquired by the calling thread), so the
+/// wake step evaluates predicates without the mutex; only the stall step
+/// takes it, to pump the engine.
 class Scheduler {
  public:
   Scheduler();
@@ -175,6 +204,10 @@ class Scheduler {
   void RunFibers(const std::function<void(int)>& body);
   void RunThreads(const std::function<void(int)>& body);
 
+  /// Fiber carrier, on each carrier of a round: resumes ready workers
+  /// taken from the round's cursor until none is left.
+  void RunRoundShare();
+
   /// Thread carrier: parks `rank` (already kWaiting) until a wake moves
   /// it back to runnable, running the stall step first if it is the
   /// last live worker to block.
@@ -213,8 +246,10 @@ class Scheduler {
   /// Thread carrier: one condition variable per worker.
   std::unique_ptr<std::condition_variable[]> parked_;
   /// Fiber carrier: runnable workers in rank order; only the wake step
-  /// appends, so the round loop can walk it while fibers run.
+  /// appends, so the carriers can walk it while fibers run.
   std::vector<int> ready_;
+  /// Fiber carrier: next index of `ready_` a carrier takes this round.
+  std::atomic<size_t> cursor_{0};
   /// Fiber carrier: workers notified since the last wake step (unsorted,
   /// deduped).
   std::vector<int> notified_;
@@ -224,7 +259,6 @@ class Scheduler {
   SchedulerStats stats_;
   std::function<void()> deadlock_hook_;
   EventEngine* engine_ = nullptr;
-  int current_ = -1;  // rank of the running fiber, -1 in the scheduler
 };
 
 }  // namespace spardl

@@ -6,18 +6,6 @@
 
 #include "common/logging.h"
 
-// TSan cannot follow ucontext stack switches (unlike ASan there is no
-// fiber annotation API for it), so fiber execution under TSan would
-// produce nothing but false positives. Detect it and pin the thread
-// backend; the TSan CI job exists precisely to watch real threads.
-#if defined(__SANITIZE_THREAD__)
-#define SPARDL_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SPARDL_TSAN 1
-#endif
-#endif
-
 namespace spardl {
 
 Cluster::Cluster(int size, CostModel cost_model)
@@ -42,9 +30,6 @@ Cluster::Cluster(std::unique_ptr<Network> network)
 Cluster::~Cluster() = default;
 
 ExecBackend Cluster::DefaultExecBackend() {
-#ifdef SPARDL_TSAN
-  return ExecBackend::kThread;
-#else
   static const ExecBackend backend = [] {
     const char* env = std::getenv("SPARDL_EXEC_BACKEND");
     if (env == nullptr || *env == '\0') return ExecBackend::kThread;
@@ -57,7 +42,6 @@ ExecBackend Cluster::DefaultExecBackend() {
     __builtin_unreachable();
   }();
   return backend;
-#endif
 }
 
 Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
@@ -66,16 +50,11 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
          "mid-collective, so the simulated state is inconsistent";
   ProtocolChecker* checker = protocol_checker_.get();
   if (checker != nullptr) checker->BeginRun();
-#ifdef SPARDL_TSAN
-  const ExecBackend backend = ExecBackend::kThread;
-#else
-  const ExecBackend backend = backend_;
-#endif
   Network* network = network_.get();
   Scheduler scheduler;
   network->set_scheduler(&scheduler);
   scheduler.Run(
-      backend, size(), network->event_engine(),
+      backend_, size(), network->event_engine(),
       [this, &worker_fn](int rank) {
         try {
           worker_fn(*comms_[static_cast<size_t>(rank)]);

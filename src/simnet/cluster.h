@@ -81,14 +81,14 @@ class Cluster {
 
   /// The process-wide default backend: `SPARDL_EXEC_BACKEND` env
   /// ("thread" | "fiber"; CHECK-fails on anything else), else
-  /// `kThread`. TSan builds always resolve to `kThread`.
+  /// `kThread`.
   static ExecBackend DefaultExecBackend();
 
   /// Overrides this cluster's backend (constructed with the process
   /// default). Call between runs. Simulated results are identical on
-  /// both backends — see `Scheduler` — so this only trades wall
-  /// clock (fibers win at large P) against TSan observability.
-  /// TSan builds ignore `kFiber` and keep running threads.
+  /// both backends — see `Scheduler` — so this only trades wall clock:
+  /// fibers win at large P, where one OS thread per worker costs more
+  /// than it runs.
   void set_exec_backend(ExecBackend backend) { backend_ = backend; }
   ExecBackend exec_backend() const { return backend_; }
 

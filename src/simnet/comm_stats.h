@@ -56,6 +56,10 @@ struct CommStats {
     }
     return *this;
   }
+
+  /// Exact, field by field (the carrier-equivalence tests demand
+  /// bit-identical accounting).
+  bool operator==(const CommStats& other) const = default;
 };
 
 }  // namespace spardl

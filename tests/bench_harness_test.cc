@@ -18,14 +18,26 @@
 namespace spardl {
 namespace {
 
-// Parses `args` as the command line of a binary named "bench". The
-// parsed flags stay installed for `PrepareCluster` / `ObserveRun`.
-bench::HarnessArgs Parse(std::vector<std::string> args) {
+// Parses `args` as the command line of a binary named "bench" that
+// reads the flags `reads` names. The parsed flags stay installed for
+// `PrepareCluster` / `ObserveRun`.
+bench::HarnessArgs Parse(std::vector<std::string> args,
+                         bench::HarnessFlags reads = {}) {
   args.insert(args.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
-  return bench::ParseHarnessArgs(static_cast<int>(argv.size()), argv.data());
+  return bench::ParseHarnessArgs(static_cast<int>(argv.size()), argv.data(),
+                                 reads);
 }
+
+// What fig8-style benches (fixed fabric, no team layout) and fig1 (no
+// cluster at all) declare.
+constexpr bench::HarnessFlags kFixedFabric{.topology = false,
+                                           .placement = false};
+constexpr bench::HarnessFlags kNoCluster{.iterations = false,
+                                         .topology = false,
+                                         .placement = false,
+                                         .cluster = false};
 
 TEST(ParseHarnessArgsTest, EmptyCommandLineSetsNothing) {
   const bench::HarnessArgs args = Parse({});
@@ -79,7 +91,46 @@ TEST(ParseHarnessArgsTest, TheLastOccurrenceWins) {
   EXPECT_EQ(Parse({"--workers", "4", "--workers=6"}).workers, 6);
 }
 
+TEST(ParseHarnessArgsTest, FlagsTheBenchReadsStillParse) {
+  const bench::HarnessArgs fixed = Parse(
+      {"--workers", "4", "--iterations=2", "--backend", "fiber",
+       "--metrics-out", "m.json", "--protocol-check"},
+      kFixedFabric);
+  EXPECT_EQ(fixed.workers, 4);
+  EXPECT_EQ(fixed.iterations, 2);
+  EXPECT_EQ(fixed.backend, ExecBackend::kFiber);
+  EXPECT_EQ(fixed.metrics_out, "m.json");
+  EXPECT_TRUE(fixed.protocol_check);
+  EXPECT_EQ(Parse({"--workers=8"}, kNoCluster).workers, 8);
+  Parse({});
+}
+
 using ParseHarnessArgsDeathTest = ::testing::Test;
+
+// A flag the bench declared it does not read exits 2, naming the flag
+// and listing what the bench does read, instead of being dropped.
+TEST(ParseHarnessArgsDeathTest, FlagsTheBenchDoesNotReadExitTwo) {
+  EXPECT_EXIT(Parse({"--topology", "fattree:2x2"}, kFixedFabric),
+              ::testing::ExitedWithCode(2),
+              "this bench does not read '--topology' \\(supported flags: "
+              "--workers N, --iterations N, --backend ");
+  EXPECT_EXIT(Parse({"--placement=rack"}, kFixedFabric),
+              ::testing::ExitedWithCode(2),
+              "this bench does not read '--placement=rack'");
+  EXPECT_EXIT(Parse({"--placement", "rack"}, {.placement = false}),
+              ::testing::ExitedWithCode(2),
+              "this bench does not read '--placement'");
+  for (const char* flag :
+       {"--iterations=2", "--topology=flat", "--backend=fiber",
+        "--placement=rack", "--trace-out=t.json", "--metrics-out=m.json",
+        "--timeseries-out=s.json", "--protocol-check"}) {
+    EXPECT_EXIT(Parse({"--workers", "8", flag}, kNoCluster),
+                ::testing::ExitedWithCode(2),
+                "this bench does not read '" + std::string(flag) +
+                    "' \\(supported flags: --workers N\\)")
+        << flag;
+  }
+}
 
 TEST(ParseHarnessArgsDeathTest, UnknownFlagsExitTwo) {
   EXPECT_EXIT(Parse({"--verbose"}), ::testing::ExitedWithCode(2),

@@ -8,7 +8,9 @@
 // wall-clock watchdog).
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -28,31 +30,11 @@
 #include "topo/topologies.h"
 #include "topo/topology_spec.h"
 
-// TSan has no ucontext support, so the cluster compiles the fiber branch
-// out and always runs threads there (mirrors SPARDL_TSAN in cluster.cc).
-#if defined(__SANITIZE_THREAD__)
-#define SPARDL_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SPARDL_TEST_TSAN 1
-#endif
-#endif
-
 namespace spardl {
 namespace {
 
-bool FiberBackendAvailable() {
-#ifdef SPARDL_TEST_TSAN
-  return false;
-#else
-  return true;
-#endif
-}
-
-/// The carriers a scheduler test runs on: both, or threads alone where
-/// fibers are compiled out.
+/// The carriers a scheduler test runs on.
 std::vector<ExecBackend> Carriers() {
-  if (!FiberBackendAvailable()) return {ExecBackend::kThread};
   return {ExecBackend::kThread, ExecBackend::kFiber};
 }
 
@@ -81,6 +63,8 @@ struct RunOutcome {
   std::vector<SparseVector> outputs;
   /// Every worker's final simulated clock (pins the timing model).
   std::vector<double> clocks;
+  /// Every worker's accounting (messages, words, per-phase seconds).
+  std::vector<CommStats> comm_stats;
   /// Hash over *all* workers' outputs — catches a replica diverging on a
   /// worker other than 0.
   uint64_t all_workers_hash = 0;
@@ -103,10 +87,10 @@ TopologySpec FabricSpec(Fabric fabric, int p) {
 }
 
 /// One measured run of a log-round method on `fabric` under the chosen
-/// backend.
+/// backend (SparDL with `num_teams` > 1 runs B-SAG).
 RunOutcome MeasuredRun(ExecBackend backend, Fabric fabric,
                        const std::string& algo, int p, size_t n, size_t k,
-                       int iterations) {
+                       int iterations, int num_teams = 1) {
   Cluster cluster(FabricSpec(fabric, p));
   cluster.set_exec_backend(backend);
 
@@ -114,6 +98,7 @@ RunOutcome MeasuredRun(ExecBackend backend, Fabric fabric,
   config.n = n;
   config.k = k;
   config.num_workers = p;
+  config.num_teams = num_teams;
   config.residual_mode = ResidualMode::kNone;
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -140,6 +125,7 @@ RunOutcome MeasuredRun(ExecBackend backend, Fabric fabric,
   uint64_t h = 0;
   for (int r = 0; r < p; ++r) {
     outcome.clocks.push_back(cluster.comm(r).sim_now());
+    outcome.comm_stats.push_back(cluster.comm(r).stats());
     for (const SparseVector& v : per_worker[static_cast<size_t>(r)]) {
       h = HashSparse(h, v);
     }
@@ -152,13 +138,10 @@ RunOutcome MeasuredRun(ExecBackend backend, Fabric fabric,
 
 // The scale criterion: five fresh fiber-backend runs of a contended
 // event-engine workload at P = 1024 must agree bit for bit (outputs and
-// clocks). One OS thread is carrying 1024 workers here — any
-// scheduler-order leak into the simulation would show up as a hash or
-// clock mismatch.
+// clocks). The fiber rounds run on every available core here, in an
+// interleaving that differs run to run — any scheduler-order leak into
+// the simulation would show up as a hash or clock mismatch.
 TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   constexpr int kWorkers = 1024;
   constexpr size_t kN = 100'000;
   constexpr size_t kK = 100;
@@ -220,9 +203,6 @@ TEST_P(BackendEquivalenceTest, FiberMatchesThreadExactly) {
 // (checked at P = 64 only: one OS thread per worker), and its counters
 // are live.
 TEST(CoopBackendTest, WakeCostPerMessageIsScaleFree) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   const auto evals_per_message = [](ExecBackend backend, int p) {
     const RunOutcome outcome =
         MeasuredRun(backend, Fabric::kContended, "spardl", p,
@@ -256,6 +236,99 @@ INSTANTIATE_TEST_SUITE_P(Engines, BackendEquivalenceTest,
                                       ? "Event"
                                       : "Busy";
                          });
+
+/// The CPUs the fiber scheduler may spread a round over.
+int AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return CPU_COUNT(&set);
+}
+
+// Parallel fiber rounds must not leak into the simulation: twenty fiber
+// runs, each in its own interleaving of the carriers, reproduce the
+// thread carrier's outputs, clocks and accounting bit for bit — on flat
+// P = 14 B-SAG (d = 7, the paper's per-update setting) and on a contended
+// fat-tree at P = 64, where every stall pumps the engine.
+TEST(CoopBackendTest, FiberRepeatsMatchThreadsBitForBit) {
+  struct Case {
+    const char* name;
+    Fabric fabric;
+    int workers;
+    size_t n;
+    size_t k;
+    int teams;
+  };
+  const Case cases[] = {
+      {"flat P=14 d=7", Fabric::kFlat, 14, 60'000, 600, 7},
+      {"fat-tree P=64", Fabric::kContended, 64, 100'000, 100, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const RunOutcome threads =
+        MeasuredRun(ExecBackend::kThread, c.fabric, "spardl", c.workers, c.n,
+                    c.k, /*iterations=*/2, c.teams);
+    for (int run = 0; run < 20; ++run) {
+      const RunOutcome fibers =
+          MeasuredRun(ExecBackend::kFiber, c.fabric, "spardl", c.workers,
+                      c.n, c.k, /*iterations=*/2, c.teams);
+      ASSERT_EQ(fibers.all_workers_hash, threads.all_workers_hash)
+          << "run " << run;
+      ASSERT_EQ(fibers.outputs, threads.outputs) << "run " << run;
+      ASSERT_EQ(fibers.clocks, threads.clocks) << "run " << run;
+      ASSERT_EQ(fibers.comm_stats, threads.comm_stats) << "run " << run;
+    }
+  }
+}
+
+// The round counters are live, and the paper's per-update setting (flat
+// P = 14, d = 7) shares its rounds among carriers whenever the process
+// may use two CPUs.
+TEST(CoopBackendTest, FlatP14FiberRoundsRunInParallel) {
+  constexpr int kWorkers = 14;
+  const RunOutcome outcome =
+      MeasuredRun(ExecBackend::kFiber, Fabric::kFlat, "spardl", kWorkers,
+                  /*n=*/60'000, /*k=*/600, /*iterations=*/1, /*num_teams=*/7);
+  const SchedulerStats& stats = outcome.scheduler;
+  EXPECT_GT(stats.rounds, 0u);
+  EXPECT_GE(stats.resumes, stats.rounds);
+  EXPECT_LE(stats.parallel_rounds, stats.rounds);
+  const int cpus = AffinityCpus();
+  EXPECT_EQ(stats.carriers,
+            static_cast<uint64_t>(std::min(kWorkers, cpus)));
+  if (cpus < 2) GTEST_SKIP() << "one CPU: every round runs inline";
+  EXPECT_GT(stats.parallel_rounds, 0u);
+}
+
+// A protocol diagnosis at the stall releases every waiter to unwind. Here
+// all P = 8 workers block on a mismatched tag, so the round after the
+// diagnosis resumes all of them at once: each throws `ProtocolViolation`
+// inside its own fiber, on several carriers when two CPUs are available,
+// and the run still ends in the diagnosis.
+TEST(CoopBackendTest, ProtocolViolationUnwindsFibersOnSeveralCarriers) {
+  constexpr int kWorkers = 8;
+  for (const Fabric fabric : {Fabric::kFlat, Fabric::kContended}) {
+    SCOPED_TRACE(fabric == Fabric::kFlat ? "flat" : "contended");
+    Cluster cluster(FabricSpec(fabric, kWorkers));
+    cluster.set_exec_backend(ExecBackend::kFiber);
+    cluster.EnableProtocolCheck();
+    const Status status = cluster.Run([](Comm& comm) {
+      const int next = (comm.rank() + 1) % comm.size();
+      const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+      comm.Send(next, Payload(std::vector<float>{1.0f}), /*tag=*/7);
+      (void)comm.Recv(prev, /*tag=*/9);  // bug under test: expects tag 9
+      comm.BarrierSyncClocks();
+    });
+    ASSERT_FALSE(status.ok());
+    const std::string message = status.ToString();
+    EXPECT_NE(message.find("tag mismatch"), std::string::npos) << message;
+    // One round runs every worker into its wait, the next unwinds them.
+    const SchedulerStats& stats = cluster.scheduler_stats();
+    EXPECT_EQ(stats.rounds, 2u);
+    EXPECT_EQ(stats.resumes, 2u * kWorkers);
+    EXPECT_EQ(stats.parallel_rounds, AffinityCpus() >= 2 ? 2u : 0u);
+  }
+}
 
 /// The protocol verifier's negative path must diagnose divergence on both
 /// backends (the fiber path funnels the violation out of the scheduler
@@ -355,11 +428,11 @@ TEST(ThreadBackendDeathTest, WaitTimesOutWhilePeerNeverBlocks) {
       "Recv dst=0 src=1 tag=0 timed out after 0.2s of wall time");
 }
 
-// On threads, worker 1 must not change the flag before worker 0 waits on
-// it, or the wait would return without blocking: poll (under the engine
-// mutex, which guards the counters on threads) until worker 0 has
-// evaluated its predicate once and so is parked. On fibers worker 0 runs
-// first and the poll passes at once.
+// Worker 1 must not change the flag before worker 0 waits on it, or the
+// wait would return without blocking: poll (under the engine mutex, which
+// guards the counters) until worker 0 has evaluated its predicate once
+// and so is parked. On fibers worker 0 is taken first: on one carrier
+// the poll passes at once, on several worker 0 runs on its own.
 void AwaitFirstWait(const Scheduler& scheduler, const EventEngine& engine) {
   for (;;) {
     {

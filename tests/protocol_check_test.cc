@@ -23,7 +23,7 @@
 #include "topo/topology.h"
 #include "topo/topology_spec.h"
 
-// Sanitizers inflate memory, and TSan compiles the fiber carrier out.
+// Sanitizers inflate memory.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SPARDL_TEST_SANITIZED 1
 #elif defined(__has_feature)
@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, ProtocolCheckTest,
 // costs (hundreds of MB at this P).
 TEST(ProtocolCheckerMemoryTest, CheckedRunAtP1024StaysSmall) {
 #ifdef SPARDL_TEST_SANITIZED
-  GTEST_SKIP() << "sanitizer builds inflate RSS and TSan has no fibers";
+  GTEST_SKIP() << "sanitizer builds inflate RSS";
 #else
   constexpr int kWorkers = 1024;
   Cluster cluster(TopologySpec::Flat(kWorkers, CostModel{1e-3, 1e-6}));
