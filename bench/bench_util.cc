@@ -15,12 +15,14 @@ namespace bench {
 
 namespace {
 
-/// The last parsed harness flags, the flags the bench reads, and every
-/// run observed so far, installed by `ParseHarnessArgs`. A plain static:
-/// bench mains are single-threaded at parse/prepare/observe time.
+/// The last parsed harness flags, the flags the bench reads, which of
+/// them it has read through their accessors, and every run observed so
+/// far, installed by `ParseHarnessArgs`. A plain static: bench mains are
+/// single-threaded at parse/prepare/observe time.
 struct HarnessState {
   HarnessArgs args;
   HarnessFlags reads;
+  HarnessFlags read{false, false, false, false};
   std::vector<RunMetrics> runs;
 
   bool observing() const {
@@ -48,6 +50,23 @@ std::string FlagHelp() {
         "--protocol-check";
   }
   return help + ")";
+}
+
+// At exit: every optional flag the bench accepted was read, else the
+// `HarnessFlags` it declared claims a flag its code drops.
+void CheckParsedFlagsWereRead() {
+  const HarnessState& state = GlobalHarness();
+  const auto check = [](bool given, bool read, const char* flag) {
+    SPARDL_CHECK(!given || read)
+        << "this bench accepted " << flag
+        << " but never read it: clear it in the HarnessFlags passed to "
+           "ParseHarnessArgs, or read it";
+  };
+  check(state.args.iterations.has_value(), state.read.iterations,
+        "--iterations");
+  check(state.args.topology.has_value(), state.read.topology, "--topology");
+  check(state.args.placement.has_value(), state.read.placement,
+        "--placement");
 }
 
 [[noreturn]] void DieWriteFailure(const std::string& path) {
@@ -125,8 +144,18 @@ ExecBackend ParseBackendOrDie(const std::string& text) {
 }  // namespace
 
 HarnessArgs ParseHarnessArgs(int argc, char** argv, HarnessFlags reads) {
+  // The state exists before the exit check is registered, so it is
+  // destroyed only after the check ran.
+  HarnessState& state = GlobalHarness();
+  static const bool check_registered =
+      std::atexit(CheckParsedFlagsWereRead) == 0;
+  SPARDL_CHECK(check_registered);
   HarnessArgs args;
-  GlobalHarness().reads = reads;
+  // Nothing is installed until the whole line parsed: an exit on a bad
+  // flag leaves no flag for the exit check to find unread.
+  state.args = HarnessArgs{};
+  state.reads = reads;
+  state.read = HarnessFlags{false, false, false, false};
   // Rejects the flag at argv[at] unless the bench reads it.
   const auto require = [&](bool read, int at) {
     if (read) return;
@@ -169,7 +198,7 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv, HarnessFlags reads) {
       std::exit(2);
     }
   }
-  GlobalHarness().args = args;
+  state.args = args;
   return args;
 }
 
@@ -243,9 +272,20 @@ TopologySpec ResolveFabric(const std::optional<TopologySpec>& topology,
   return spec;
 }
 
+int HarnessArgs::iterations_or(int fallback) const {
+  GlobalHarness().read.iterations = true;
+  return iterations.value_or(fallback);
+}
+
+PlacementPolicy HarnessArgs::placement_or(PlacementPolicy fallback) const {
+  GlobalHarness().read.placement = true;
+  return placement.value_or(fallback);
+}
+
 std::optional<TopologySpec> HarnessArgs::TopologyOr(
     std::optional<TopologySpec> fallback, int num_workers,
     CostModel cost) const {
+  GlobalHarness().read.topology = true;
   if (!topology.has_value()) return fallback;
   auto parsed = TopologySpec::Parse(*topology, num_workers, cost);
   // Build-validate too (grid/worker-count agreement, parameter ranges), so

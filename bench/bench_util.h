@@ -60,12 +60,11 @@ struct HarnessArgs {
   bool protocol_check = false;
 
   int workers_or(int fallback) const { return workers.value_or(fallback); }
-  int iterations_or(int fallback) const {
-    return iterations.value_or(fallback);
-  }
-  PlacementPolicy placement_or(PlacementPolicy fallback) const {
-    return placement.value_or(fallback);
-  }
+  /// How a bench reads `--iterations`, `--placement` and `--topology`
+  /// (`TopologyOr` below): each accessor records that its flag was read,
+  /// which the exit check in `HarnessFlags` relies on.
+  int iterations_or(int fallback) const;
+  PlacementPolicy placement_or(PlacementPolicy fallback) const;
 
   /// The fabric this run should use: `--topology` (parsed with `workers`
   /// and `cost`) when given, else `fallback` (nullopt = the bench's
@@ -79,7 +78,10 @@ struct HarnessArgs {
 /// all). A bench whose figure fixes the fabric, has no team layout to
 /// place, or builds no cluster clears what it cannot honour, and
 /// `ParseHarnessArgs` rejects those flags instead of accepting and
-/// ignoring them.
+/// ignoring them. The declaration cannot drift from the code: a bench
+/// that accepted `--iterations`, `--topology` or `--placement` and exits
+/// without having read it through `iterations_or`, `TopologyOr` or
+/// `placement_or` aborts at exit, naming the flag.
 struct HarnessFlags {
   bool iterations = true;
   bool topology = true;

@@ -23,22 +23,23 @@ int main(int argc, char** argv) {
   using namespace spardl;  // NOLINT
   const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
   const int p = args.workers_or(12);
-  if (p < 2) {
-    std::fprintf(stderr, "P must be >= 2\n");
-    return 1;
+  bench::TeamTuneOptions tune;
+  tune.iterations_per_epoch = 30;
+  tune.measured_iterations = args.iterations_or(2);
+  if (args.placement.has_value()) {
+    tune.policies = {args.placement_or(PlacementPolicy::kContiguous)};
   }
-  const ModelProfile& profile = ProfileByModel("VGG-16");
 
   // The historical bug this rebuild fixes: the tuner used to ignore
   // --topology and always tuned d on the flat
   // closed-form fabric. The grid now runs on the resolved spec.
   const TopologySpec fabric =
       args.TopologyOr(std::nullopt, p).value_or(TopologySpec::Flat(p));
-
-  bench::TeamTuneOptions tune;
-  tune.iterations_per_epoch = 30;
-  tune.measured_iterations = args.iterations_or(2);
-  if (args.placement.has_value()) tune.policies = {*args.placement};
+  if (p < 2) {
+    std::fprintf(stderr, "P must be >= 2\n");
+    return 1;
+  }
+  const ModelProfile& profile = ProfileByModel("VGG-16");
 
   std::printf(
       "selecting the optimal (d, placement) for P=%d on %s (%zu params)\n"

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -69,6 +70,7 @@ TEST(ParseHarnessArgsTest, AcceptsEqualsForm) {
   EXPECT_EQ(args.metrics_out, "m.json");
   EXPECT_EQ(args.timeseries_out, "s.json");
   EXPECT_TRUE(args.protocol_check);
+  Parse({});
 }
 
 TEST(ParseHarnessArgsTest, AcceptsSeparateValueForm) {
@@ -85,6 +87,7 @@ TEST(ParseHarnessArgsTest, AcceptsSeparateValueForm) {
   EXPECT_EQ(args.metrics_out, "m.json");
   EXPECT_EQ(args.timeseries_out, "s.json");
   EXPECT_FALSE(args.protocol_check);
+  Parse({});
 }
 
 TEST(ParseHarnessArgsTest, TheLastOccurrenceWins) {
@@ -130,6 +133,36 @@ TEST(ParseHarnessArgsDeathTest, FlagsTheBenchDoesNotReadExitTwo) {
                     "' \\(supported flags: --workers N\\)")
         << flag;
   }
+}
+
+// A flag the bench declared it reads but never read through its
+// accessor aborts the bench at exit: the declaration cannot drift from
+// the code.
+TEST(ParseHarnessArgsDeathTest, AcceptedFlagNeverReadAbortsAtExit) {
+  EXPECT_DEATH(
+      {
+        Parse({"--topology", "flat"});
+        std::exit(0);
+      },
+      "this bench accepted --topology but never read it");
+  EXPECT_DEATH(
+      {
+        const bench::HarnessArgs args =
+            Parse({"--iterations=2", "--placement=rack"});
+        (void)args.iterations_or(1);
+        std::exit(0);
+      },
+      "this bench accepted --placement but never read it");
+  EXPECT_EXIT(
+      {
+        const bench::HarnessArgs args = Parse(
+            {"--iterations=2", "--placement=rack", "--topology=flat"});
+        (void)args.iterations_or(1);
+        (void)args.placement_or(PlacementPolicy::kContiguous);
+        (void)args.TopologyOr(std::nullopt, 4);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ParseHarnessArgsDeathTest, UnknownFlagsExitTwo) {
